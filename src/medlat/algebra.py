@@ -10,7 +10,7 @@ every query downstream of construction is a table lookup.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,8 @@ from .poset import (
     UpSet,
     check_partial_order,
     chain_poset,
-    open_sets,
+    cover_matrix,
+    open_masks,
     powerset_poset,
     up_closure,
 )
@@ -55,11 +56,6 @@ class BrouwerAlgebra:
 
     def le(self, x: int, y: int) -> bool:
         return bool(self.leq[x, y])
-
-    @property
-    def lt(self) -> np.ndarray:
-        out = self.leq & ~np.eye(self.size, dtype=bool)
-        return out
 
     def check_element(self, x: int) -> int:
         x = int(x)
@@ -93,8 +89,7 @@ def from_poset(p: Poset, open_cap: int = OPEN_SETS_CAP) -> BrouwerAlgebra:
     join = intersection, meet = union, bottom = whole carrier, top = empty
     set, and  U -> V = {a : [a) & U <= V}.
     """
-    opens = open_sets(p, cap=open_cap)
-    masks = np.array([u.mask for u in opens], dtype=np.uint64)  # ascending
+    masks = open_masks(p, cap=open_cap)
     m = len(masks)
     up = p.up_masks
 
@@ -116,7 +111,8 @@ def from_poset(p: Poset, open_cap: int = OPEN_SETS_CAP) -> BrouwerAlgebra:
         imp[lo:hi] = _index_of_masks(masks, imp_m[lo:hi])
 
     labels = tuple(
-        "{" + ",".join(p.labels[i] for i in u.indices()) + "}" for u in opens
+        "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
+        for u in masks.tolist()
     )
     return BrouwerAlgebra(
         leq=leq, join=join, meet=meet, imp=imp,
@@ -153,18 +149,14 @@ def bn(n: int) -> BrouwerAlgebra:
     if n > BN_CAP:
         raise ResourceLimitError(f"bn cap is {BN_CAP}, got n={n}")
     p = powerset_poset(n, cap=BN_CAP)
-    a = from_poset(p, open_cap=p.size)
-    return BrouwerAlgebra(a.leq, a.join, a.meet, a.imp, a.bottom, a.top,
-                          a.labels, f"bn:{n}", a.poset, a.open_masks)
+    return replace(from_poset(p, open_cap=p.size), provenance=f"bn:{n}")
 
 
 @lru_cache(maxsize=None)
 def chain_algebra(m: int) -> BrouwerAlgebra:
     if m < 1:
         raise InputError("chain algebra needs at least one element")
-    a = from_poset(chain_poset(m - 1))
-    return BrouwerAlgebra(a.leq, a.join, a.meet, a.imp, a.bottom, a.top,
-                          a.labels, f"chain:{m}", a.poset, a.open_masks)
+    return replace(from_poset(chain_poset(m - 1)), provenance=f"chain:{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +215,9 @@ def validate(a: BrouwerAlgebra, cap: int = VALIDATE_CAP) -> list[Violation]:
         i, j, c = map(int, np.argwhere(bad)[0])
         out.append(Violation("meet-greatest", (i, j, c)))
 
-    # distributivity: a x (b + c) = (a x b) + (a x c)
-    lhs = a.meet[ar[:, None, None], a.join[None, :, :]]
-    rhs = a.join[a.meet[:, :, None], a.meet[:, None, :]]
-    if (lhs != rhs).any():
-        i, j, c = map(int, np.argwhere(lhs != rhs)[0])
-        out.append(Violation("distributivity", (i, j, c)))
+    witness = _distributivity_witness(a)
+    if witness is not None:
+        out.append(Violation("distributivity", witness))
 
     # residuation: imp(a,b) is the least c with a + c >= b
     reach = a.leq[ar[None, :], a.join[ar[:, None], a.imp]]      # b <= a + (a->b)
@@ -244,11 +233,17 @@ def validate(a: BrouwerAlgebra, cap: int = VALIDATE_CAP) -> list[Violation]:
     return out
 
 
-def is_distributive(a: BrouwerAlgebra) -> bool:
+def _distributivity_witness(a: BrouwerAlgebra) -> tuple[int, int, int] | None:
+    """The least (a, b, c) with a x (b + c) != (a x b) + (a x c), or None."""
     ar = np.arange(a.size)
     lhs = a.meet[ar[:, None, None], a.join[None, :, :]]
     rhs = a.join[a.meet[:, :, None], a.meet[:, None, :]]
-    return bool((lhs == rhs).all())
+    bad = np.argwhere(lhs != rhs)
+    return tuple(map(int, bad[0])) if bad.size else None
+
+
+def is_distributive(a: BrouwerAlgebra) -> bool:
+    return _distributivity_witness(a) is None
 
 
 # ---------------------------------------------------------------------------
@@ -571,32 +566,39 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
 # generated subalgebras and the KP predicate
 # ---------------------------------------------------------------------------
 
-def generated_subalgebra(a: BrouwerAlgebra, seeds,
-                         ops=("join", "meet", "neg", "imp")) -> list[int]:
+CLOSURE_OPS = ("join", "meet", "neg", "imp")
+
+
+def close_under(a: BrouwerAlgebra, start, ops=CLOSURE_OPS,
+                rounds: int | None = None) -> list[int]:
+    """Sorted elements reached from start by applying ops to all pairs (and
+    neg to all elements), for at most rounds rounds; None means until
+    nothing new appears."""
+    current = np.unique(np.asarray(start, dtype=np.int64))
+    binary = [getattr(a, op) for op in ops if op != "neg"]
+    done = 0
+    while rounds is None or done < rounds:
+        sub = np.ix_(current, current)
+        parts = [current] + [t[sub].ravel() for t in binary]
+        if "neg" in ops:
+            parts.append(a.imp[current, a.top])
+        new = np.unique(np.concatenate(parts))
+        if new.size == current.size:
+            break
+        current = new
+        done += 1
+    return current.tolist()
+
+
+def generated_subalgebra(a: BrouwerAlgebra, seeds, ops=CLOSURE_OPS) -> list[int]:
     """Closure of seeds + {0, 1} under the chosen operations."""
     seeds = [a.check_element(x) for x in seeds]
     if not seeds:
         raise InputError("generated_subalgebra needs at least one seed")
-    bad = set(ops) - {"join", "meet", "neg", "imp"}
+    bad = set(ops) - set(CLOSURE_OPS)
     if bad:
         raise InputError(f"unknown operations: {sorted(bad)}")
-    current = set(seeds) | {a.bottom, a.top}
-    while True:
-        new = set(current)
-        elems = sorted(current)
-        for x in elems:
-            if "neg" in ops:
-                new.add(neg(a, x))
-            for y in elems:
-                if "join" in ops:
-                    new.add(int(a.join[x, y]))
-                if "meet" in ops:
-                    new.add(int(a.meet[x, y]))
-                if "imp" in ops:
-                    new.add(int(a.imp[x, y]))
-        if new == current:
-            return sorted(current)
-        current = new
+    return close_under(a, seeds + [a.bottom, a.top], ops)
 
 
 def all_negations_meet_irreducible(a: BrouwerAlgebra) -> tuple[bool, int | None]:
@@ -634,9 +636,7 @@ def algebra_to_json(a: BrouwerAlgebra) -> str:
 
 
 def cover_relation(a: BrouwerAlgebra) -> np.ndarray:
-    lt = a.leq & ~np.eye(a.size, dtype=bool)
-    between = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    return lt & ~between
+    return cover_matrix(a.leq)
 
 
 def algebra_to_dot(a: BrouwerAlgebra) -> str:

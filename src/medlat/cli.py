@@ -13,6 +13,7 @@ where <a>, <b> are element indices or unique element labels.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -42,6 +43,15 @@ def resolve_element(a: alg.BrouwerAlgebra, token: str) -> int:
 
 
 def resolve_algebra(spec: str) -> alg.BrouwerAlgebra:
+    """The algebra a selector names; a malformed selector or an unreadable
+    poset file is an InputError."""
+    try:
+        return _resolve(spec)
+    except (ValueError, OSError) as e:  # ValueError includes JSONDecodeError
+        raise InputError(f"bad algebra spec {spec!r}: {e}") from e
+
+
+def _resolve(spec: str) -> alg.BrouwerAlgebra:
     spec = spec.strip()
     if ":" not in spec:
         raise InputError(f"bad algebra spec {spec!r}")
@@ -56,12 +66,12 @@ def resolve_algebra(spec: str) -> alg.BrouwerAlgebra:
         return alg.from_poset(ps.load_poset(rest))
     if kind == "interval":
         inner, a_tok, b_tok = rest.rsplit(",", 2)
-        base = resolve_algebra(inner)
+        base = _resolve(inner)
         return alg.interval(base, resolve_element(base, a_tok),
                             resolve_element(base, b_tok))
     if kind == "factor":
         inner, a_tok = rest.rsplit(",", 1)
-        base = resolve_algebra(inner)
+        base = _resolve(inner)
         return alg.factor_by_principal_filter(
             base, resolve_element(base, a_tok)).algebra
     raise InputError(f"unknown algebra kind {kind!r} in spec {spec!r}")
@@ -106,9 +116,7 @@ def cmd_countermodel(args) -> int:
         lines = ["digraph poset {", "  rankdir=BT;"]
         for i in range(res.poset.size):
             lines.append(f'  n{i} [label="{res.poset.labels[i]}"];')
-        lt = res.poset.leq & ~np.eye(res.poset.size, dtype=bool)
-        between = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-        for i, j in np.argwhere(lt & ~between):
+        for i, j in np.argwhere(ps.cover_matrix(res.poset.leq)):
             lines.append(f"  n{int(i)} -> n{int(j)};")
         lines.append("}")
         print("\n".join(lines))
@@ -270,7 +278,6 @@ def _suite_free(max_n: int = 4) -> list[str]:
         for i in range(n):
             rest = [j for j in range(n) if j != i]
             for size in range(len(rest) + 1):
-                import itertools
                 for comb in itertools.combinations(rest, size):
                     if fd.independence_check(n, i, comb):
                         fails.append(f"independence fails: a{i} <= join{comb} (n={n})")

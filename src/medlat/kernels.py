@@ -1,10 +1,4 @@
-"""Hot numeric kernels: valuation-space scanning and implication tables.
-
-Two implementations exist for each kernel: a numba ``@njit`` version and a
-pure-numpy version.  The active backend is chosen at import time; setting
-the environment variable ``MEDLAT_NO_NUMBA=1`` forces the numpy path.
-Both paths return bit-identical results (``benchmarks/bench_kernels.py``
-compares their speed, the test suite compares their output).
+"""Numeric kernels: valuation-space scanning and implication tables.
 
 Formulas are compiled to postfix programs over small int arrays so the
 kernels never touch Python objects:
@@ -12,11 +6,14 @@ kernels never touch Python objects:
     opcode 0: push variable arg          3: pop two, push meet[x, y]
     opcode 1: push constant element arg  4: pop two, push imp[x, y]
     opcode 2: pop two, push join[x, y]
+
+``eval_on_valuations`` is the one interpreter: it runs a program on a block
+of explicit valuations, one numpy table lookup per opcode.  ``first_fail``
+scans a range of valuation indices in blocks of ``_BLOCK``, decoding each
+block with ``valuation_digits``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,104 +21,12 @@ OP_VAR, OP_CONST, OP_JOIN, OP_MEET, OP_IMP = 0, 1, 2, 3, 4
 
 _BLOCK = 1 << 15
 
-try:
-    if os.environ.get("MEDLAT_NO_NUMBA", "") not in ("", "0"):
-        raise ImportError("numba disabled via MEDLAT_NO_NUMBA")
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-
-# ---------------------------------------------------------------------------
-# first failing valuation
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _first_fail_jit(ops, args, nvars, m, join, meet, imp, designated, start, stop):
-    stack = np.empty(len(ops), dtype=np.int64)
-    digits = np.empty(nvars, dtype=np.int64)
-    for idx in range(start, stop):
-        r = idx
-        for j in range(nvars - 1, -1, -1):
-            digits[j] = r % m
-            r //= m
-        sp = 0
-        for k in range(len(ops)):
-            op = ops[k]
-            if op == 0:
-                stack[sp] = digits[args[k]]
-                sp += 1
-            elif op == 1:
-                stack[sp] = args[k]
-                sp += 1
-            else:
-                b = stack[sp - 1]
-                a = stack[sp - 2]
-                sp -= 1
-                if op == 2:
-                    stack[sp - 1] = join[a, b]
-                elif op == 3:
-                    stack[sp - 1] = meet[a, b]
-                else:
-                    stack[sp - 1] = imp[a, b]
-        if stack[0] != designated:
-            return idx
-    return np.int64(-1)
-
-
-def _first_fail_numpy(ops, args, nvars, m, join, meet, imp, designated, start, stop):
-    joinf = join.ravel()
-    meetf = meet.ravel()
-    impf = imp.ravel()
+def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
+    """Mixed-radix digits of valuation indices, most significant variable
+    first: row i holds the values of the variables in valuation idx[i]."""
     radix = m ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % m
-        stack = []
-        for op, arg in zip(ops, args):
-            if op == OP_VAR:
-                stack.append(digits[:, arg])
-            elif op == OP_CONST:
-                stack.append(np.full(hi - lo, arg, dtype=np.int64))
-            else:
-                b = stack.pop()
-                a = stack.pop()
-                flat = a * m + b
-                if op == OP_JOIN:
-                    stack.append(joinf[flat])
-                elif op == OP_MEET:
-                    stack.append(meetf[flat])
-                else:
-                    stack.append(impf[flat])
-        bad = np.flatnonzero(stack[0] != designated)
-        if bad.size:
-            return int(lo + bad[0])
-    return -1
-
-
-def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop):
-    """Least valuation index in [start, stop) where the program does not hit
-    the designated element, or -1."""
-    ops = np.ascontiguousarray(ops, dtype=np.int64)
-    args = np.ascontiguousarray(args, dtype=np.int64)
-    if HAVE_NUMBA:
-        return int(
-            _first_fail_jit(ops, args, nvars, m, join, meet, imp,
-                            designated, start, stop)
-        )
-    return _first_fail_numpy(ops, args, nvars, m, join, meet, imp,
-                             designated, start, stop)
+    return (idx[:, None] // radix[None, :]) % m
 
 
 def eval_on_valuations(ops, args, valuations, join, meet, imp):
@@ -130,63 +35,43 @@ def eval_on_valuations(ops, args, valuations, join, meet, imp):
     valuations: int array (count, nvars).  Returns int array (count,).
     """
     m = join.shape[0]
-    joinf, meetf, impf = join.ravel(), meet.ravel(), imp.ravel()
+    tables = {OP_JOIN: join.ravel(), OP_MEET: meet.ravel(), OP_IMP: imp.ravel()}
+    vals = np.asarray(valuations, dtype=np.int64)
     stack = []
-    count = valuations.shape[0]
     for op, arg in zip(ops, args):
         if op == OP_VAR:
-            stack.append(valuations[:, arg].astype(np.int64))
+            stack.append(vals[:, arg])
         elif op == OP_CONST:
-            stack.append(np.full(count, arg, dtype=np.int64))
+            stack.append(np.full(vals.shape[0], arg, dtype=np.int64))
         else:
             b = stack.pop()
             a = stack.pop()
-            flat = a * m + b
-            if op == OP_JOIN:
-                stack.append(joinf[flat])
-            elif op == OP_MEET:
-                stack.append(meetf[flat])
-            else:
-                stack.append(impf[flat])
+            stack.append(tables[op][a * m + b])
     return stack[0]
 
 
-# ---------------------------------------------------------------------------
-# implication table of an open-set algebra
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _imp_masks_jit(masks, up_masks):
-    m = masks.shape[0]
-    psize = up_masks.shape[0]
-    out = np.empty((m, m), dtype=np.uint64)
-    for u in range(m):
-        for v in range(m):
-            notv = ~masks[v]
-            r = np.uint64(0)
-            for a in range(psize):
-                if (masks[u] & up_masks[a] & notv) == np.uint64(0):
-                    r |= np.uint64(1) << np.uint64(a)
-            out[u, v] = r
-    return out
-
-
-def _imp_masks_numpy(masks, up_masks):
-    m = masks.shape[0]
-    psize = up_masks.shape[0]
-    bits = np.uint64(1) << np.arange(psize, dtype=np.uint64)
-    out = np.empty((m, m), dtype=np.uint64)
-    filt = masks[:, None] & up_masks[None, :]  # (m, psize)
-    for v in range(m):
-        ok = (filt & ~masks[v]) == 0
-        out[:, v] = (ok * bits[None, :]).sum(axis=1, dtype=np.uint64)
-    return out
+def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop):
+    """Least valuation index in [start, stop) where the program does not hit
+    the designated element, or -1."""
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        vals = valuation_digits(np.arange(lo, hi, dtype=np.int64), nvars, m)
+        res = eval_on_valuations(ops, args, vals, join, meet, imp)
+        bad = np.flatnonzero(res != designated)
+        if bad.size:
+            return int(lo + bad[0])
+    return -1
 
 
 def imp_masks(masks, up_masks):
     """For opens U, V (as bitmasks): imp[U,V] = mask of {a : [a) & U <= V}."""
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
     up_masks = np.ascontiguousarray(up_masks, dtype=np.uint64)
-    if HAVE_NUMBA:
-        return _imp_masks_jit(masks, up_masks)
-    return _imp_masks_numpy(masks, up_masks)
+    m = masks.shape[0]
+    bits = np.uint64(1) << np.arange(up_masks.shape[0], dtype=np.uint64)
+    out = np.empty((m, m), dtype=np.uint64)
+    filt = masks[:, None] & up_masks[None, :]  # (m, psize)
+    for v in range(m):
+        ok = (filt & ~masks[v]) == 0
+        out[:, v] = (ok * bits[None, :]).sum(axis=1, dtype=np.uint64)
+    return out

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .algebra import BrouwerAlgebra, all_negations_meet_irreducible, bn, from_poset
+from .algebra import (
+    BrouwerAlgebra,
+    all_negations_meet_irreducible,
+    bn,
+    close_under,
+    from_poset,
+)
 from .errors import InputError, ResourceLimitError
 from .poset import Poset, enumerate_posets
 
@@ -387,8 +393,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         while done < count:
             block = min(count - done, 1 << 15)
             idxs = rng.integers(0, total, size=block, dtype=np.int64)
-            radix = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            vals = (idxs[:, None] // radix[None, :]) % m if k else np.zeros((block, 0), np.int64)
+            vals = kernels.valuation_digits(idxs, k, m)
             res = kernels.eval_on_valuations(ops, args, vals, a.join, a.meet, a.imp)
             bad = np.flatnonzero(res != designated)
             if bad.size:
@@ -654,20 +659,8 @@ def one_variable_spectrum(a: BrouwerAlgebra, max_depth: int = 8) -> SpectrumRepo
     sizes = []
     best = (0, -1, ())
     for p in range(a.size):
-        current = {p}
-        for _ in range(max_depth):
-            new = set(current)
-            elems = sorted(current)
-            for x in elems:
-                new.add(int(a.imp[x, a.top]))
-                for y in elems:
-                    new.add(int(a.join[x, y]))
-                    new.add(int(a.meet[x, y]))
-                    new.add(int(a.imp[x, y]))
-            if new == current:
-                break
-            current = new
+        current = close_under(a, [p], rounds=max_depth)
         sizes.append(len(current))
         if len(current) > best[0]:
-            best = (len(current), p, tuple(sorted(current)))
+            best = (len(current), p, tuple(current))
     return SpectrumReport(best[0], best[1], best[2], tuple(sizes))

@@ -31,6 +31,19 @@ def _as_bool_matrix(leq) -> np.ndarray:
     return m
 
 
+def _bool_square(r: np.ndarray) -> np.ndarray:
+    """The relation r;r as a boolean matrix.  The float32 product cannot wrap
+    around to zero, unlike a uint8 one at 256 witnesses."""
+    f = r.astype(np.float32)
+    return (f @ f) > 0
+
+
+def cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """The Hasse diagram of an order: x < y with nothing strictly between."""
+    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return lt & ~_bool_square(lt)
+
+
 def check_partial_order(leq: np.ndarray) -> None:
     """Raise InputError unless leq is reflexive, antisymmetric and transitive."""
     n = leq.shape[0]
@@ -42,9 +55,9 @@ def check_partial_order(leq: np.ndarray) -> None:
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         raise InputError(f"relation is not antisymmetric: {i} <= {j} and {j} <= {i}")
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    if (closure & ~leq).any():
-        i, j = map(int, np.argwhere(closure & ~leq)[0])
+    missing = _bool_square(leq) & ~leq
+    if missing.any():
+        i, j = map(int, np.argwhere(missing)[0])
         raise InputError(f"relation is not transitive: ({i},{j}) missing")
 
 
@@ -140,47 +153,32 @@ def up_closure(p: Poset, seed) -> UpSet:
     return UpSet(p, members)
 
 
-def _open_masks_filter(p: Poset) -> list[int]:
-    n = p.size
-    idx = np.arange(1 << n, dtype=np.uint32)
-    members = (idx[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
-    members = members.astype(bool)
-    closure = (members.astype(np.uint8) @ p.leq.astype(np.uint8)) > 0
-    ok = ~(closure & ~members).any(axis=1)
-    return [int(i) for i in idx[ok]]
+def open_masks(p: Poset, cap: int = OPEN_SETS_CAP) -> np.ndarray:
+    """Bitmasks of all up-closed subsets of p, ascending, as uint64.
 
-
-def _open_masks_frontier(p: Poset) -> list[int]:
-    base = [int(m) for m in p.up_masks]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for b in base:
-                v = u | b
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return sorted(seen)
-
-
-def open_sets(p: Poset, cap: int = OPEN_SETS_CAP) -> list[UpSet]:
-    """All up-closed subsets of p, in ascending bitmask order."""
+    Elements are added top-down, in order of the size of their up-set, so
+    each one is minimal among those added so far: the new up-sets are the
+    old ones that contain its strict up-set, with the element added.
+    """
     if p.size > cap:
         raise ResourceLimitError(
             f"open-set enumeration refused: poset has {p.size} elements, cap is {cap}"
         )
-    if p.size <= 16:
-        masks = sorted(_open_masks_filter(p))
-    else:
-        masks = _open_masks_frontier(p)
-    out = []
-    for mask in masks:
-        members = np.array([(mask >> i) & 1 for i in range(p.size)], dtype=bool)
-        out.append(UpSet(p, members))
-    return out
+    up = p.up_masks
+    masks = np.zeros(1, dtype=np.uint64)
+    for x in np.argsort(p.leq.sum(axis=1), kind="stable"):
+        bit = np.uint64(1) << np.uint64(x)
+        above = up[x] & ~bit
+        masks = np.concatenate([masks, masks[(masks & above) == above] | bit])
+    masks.sort()
+    return masks
+
+
+def open_sets(p: Poset, cap: int = OPEN_SETS_CAP) -> list[UpSet]:
+    """All up-closed subsets of p, in ascending bitmask order."""
+    bits = np.uint64(1) << np.arange(p.size, dtype=np.uint64)
+    members = (open_masks(p, cap)[:, None] & bits[None, :]) != 0
+    return [UpSet(p, row) for row in members]
 
 
 def powerset_poset(n: int, cap: int = POWERSET_CAP) -> Poset:
@@ -202,7 +200,7 @@ def powerset_poset(n: int, cap: int = POWERSET_CAP) -> Poset:
 def down_sets_masks(p: Poset, cap: int = OPEN_SETS_CAP) -> list[int]:
     """Bitmasks of all downward-closed subsets (complements of the up-sets)."""
     full = (1 << p.size) - 1
-    return sorted(full ^ u.mask for u in open_sets(p, cap))
+    return sorted(full ^ m for m in open_masks(p, cap).tolist())
 
 
 # ---------------------------------------------------------------------------

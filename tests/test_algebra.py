@@ -12,6 +12,7 @@ from medlat.algebra import (
     all_negations_meet_irreducible,
     bn,
     chain_algebra,
+    close_under,
     cover_relation,
     factor_by_principal_filter,
     from_poset,
@@ -347,6 +348,32 @@ def test_generated_subalgebra_lattice_only():
     assert sub == sorted({a.bottom, a.top, seed[0]})
 
 
+def _close_under_loop(a, start, ops, rounds):
+    """Round-by-round closure over Python sets: the reference for close_under."""
+    current = set(start)
+    for _ in range(rounds):
+        new = set(current)
+        for x in current:
+            if "neg" in ops:
+                new.add(int(a.imp[x, a.top]))
+            for y in current:
+                new.update(int(getattr(a, op)[x, y]) for op in ops if op != "neg")
+        if new == current:
+            break
+        current = new
+    return sorted(current)
+
+
+@pytest.mark.parametrize("ops", [("join", "meet", "neg", "imp"), ("join", "meet"),
+                                 ("neg",), ("imp",)])
+def test_close_under_matches_loop(ops):
+    a = bn(3)
+    for start in ([x] for x in range(a.size)):
+        for rounds in (1, 2, 8):
+            assert close_under(a, start, ops, rounds) == _close_under_loop(a, start, ops, rounds)
+    assert close_under(a, [3, 7], ops) == _close_under_loop(a, [3, 7], ops, a.size)
+
+
 def test_generated_subalgebra_errors():
     with pytest.raises(InputError):
         generated_subalgebra(bn(2), [])
@@ -381,6 +408,16 @@ def test_cover_relation_chain():
     a = chain_algebra(4)
     cov = cover_relation(a)
     assert cov.sum() == 3  # a 4-chain has exactly 3 covering pairs
+
+
+def test_cover_relation_long_chain():
+    # 256 elements lie between the ends: a uint8 product would wrap to 0
+    n = 258
+    ar = np.arange(n)
+    leq = ar[:, None] <= ar[None, :]
+    a = from_tables(leq, np.maximum.outer(ar, ar), np.minimum.outer(ar, ar),
+                    np.zeros((n, n), dtype=int), 0, n - 1)
+    assert cover_relation(a).sum() == n - 1
 
 
 def test_dot_output_marks_meet_irreducibles():

@@ -73,6 +73,14 @@ def test_check_unknown_algebra_exits_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("spec", ["bn:x", "interval:bn:2", "factor:bn:3", "chain:",
+                                  "poset:{tmp}/missing.json"])
+def test_report_malformed_spec_exits_2(capsys, tmp_path, spec):
+    rc, out, err = run(capsys, "report", "--algebra", spec.format(tmp=tmp_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_check_budget_error_exits_2(capsys):
     rc, _, err = run(capsys, "check", "(~p -> q | r) -> (~p -> q) | (~p -> r)",
                      "--algebra", "bn:3", "--budget", "10")

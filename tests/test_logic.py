@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medlat.algebra import bn, chain_algebra, from_poset, neg
@@ -91,18 +91,32 @@ def test_variables_sorted():
     assert variables(parse("T | F")) == []
 
 
-_formula = st.deferred(lambda: st.one_of(
+_formula = st.recursive(
     st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bot()]),
-    st.builds(Not, _formula),
-    st.builds(And, _formula, _formula),
-    st.builds(Or, _formula, _formula),
-    st.builds(Imp, _formula, _formula),
-))
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+    ),
+    max_leaves=40,
+)
+
+
+def _depth_30_formula():
+    """Every connective in both argument positions, nested 30 deep."""
+    f = Var("p")
+    for i in range(30):
+        f = (Not(f), And(f, Var("q")), Or(Top(), f), Imp(f, Bot()),
+             And(Var("r"), f), Or(f, Var("p")), Imp(Var("q"), f))[i % 7]
+    return f
 
 
 @settings(max_examples=200, deadline=None)
-@given(_formula.filter(lambda f: depth(f) <= 30))
+@given(_formula)
+@example(_depth_30_formula())
 def test_render_parse_round_trip(f):
+    assert depth(f) <= 30
     assert parse(render(f)) == f
 
 

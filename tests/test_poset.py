@@ -16,6 +16,7 @@ from medlat.poset import (
     load_poset,
     make_poset,
     max_antichain_size,
+    open_masks,
     open_sets,
     posets_isomorphic,
     poset_from_dict,
@@ -46,6 +47,14 @@ def test_rejects_non_transitive():
     m = np.eye(3, dtype=bool)
     m[0, 1] = m[1, 2] = True
     with pytest.raises(InputError, match="transitive"):
+        check_partial_order(m)
+
+
+def test_rejects_non_transitive_with_256_witnesses():
+    # 256 elements lie between 0 and 257: a uint8 product would wrap to 0
+    m = np.triu(np.ones((258, 258), dtype=bool))
+    m[0, 257] = False
+    with pytest.raises(InputError, match=r"transitive: \(0,257\)"):
         check_partial_order(m)
 
 
@@ -127,6 +136,9 @@ def test_open_sets_random():
 def test_open_sets_counts():
     assert len(open_sets(chain_poset(5))) == 6
     assert len(open_sets(antichain_poset(4))) == 16
+    assert len(open_sets(chain_poset(20))) == 21
+    assert len(open_masks(antichain_poset(18))) == 2 ** 18
+    assert len(open_masks(powerset_poset(5), cap=31)) == 7580  # size of bn(5)
 
 
 def test_open_sets_closure_under_union_intersection():
@@ -140,7 +152,7 @@ def test_open_sets_closure_under_union_intersection():
 
 
 def test_open_sets_frontier_path_matches_definition():
-    # size 18 forces the frontier algorithm; a chain keeps the count small
+    # a chain keeps the count of an 18-element carrier small
     p = chain_poset(18)
     masks = [u.mask for u in open_sets(p, cap=20)]
     assert len(masks) == 19
