@@ -18,7 +18,6 @@ import numpy as np
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import (
-    OPEN_SETS_CAP,
     Poset,
     UpSet,
     check_partial_order,
@@ -29,6 +28,7 @@ from .poset import (
     up_closure,
 )
 
+MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
 VALIDATE_CAP = 320
 BN_CAP = 5
 
@@ -83,14 +83,16 @@ def _index_of_masks(sorted_masks: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return idx.astype(np.int32)
 
 
-def from_poset(p: Poset, open_cap: int = OPEN_SETS_CAP) -> BrouwerAlgebra:
+def from_poset(p: Poset) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion.
 
     join = intersection, meet = union, bottom = whole carrier, top = empty
     set, and  U -> V = {a : [a) & U <= V}.
     """
-    masks = open_masks(p, cap=open_cap)
+    masks = open_masks(p)
     m = len(masks)
+    if m > MAX_ALGEBRA_SIZE:
+        raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
     up = p.up_masks
 
     leq = np.empty((m, m), dtype=bool)
@@ -148,8 +150,7 @@ def bn(n: int) -> BrouwerAlgebra:
         raise InputError("bn needs n >= 1")
     if n > BN_CAP:
         raise ResourceLimitError(f"bn cap is {BN_CAP}, got n={n}")
-    p = powerset_poset(n, cap=BN_CAP)
-    return replace(from_poset(p, open_cap=p.size), provenance=f"bn:{n}")
+    return replace(from_poset(powerset_poset(n)), provenance=f"bn:{n}")
 
 
 @lru_cache(maxsize=None)
@@ -169,15 +170,15 @@ class Violation:
     witness: tuple
 
 
-def validate(a: BrouwerAlgebra, cap: int = VALIDATE_CAP) -> list[Violation]:
+def validate(a: BrouwerAlgebra) -> list[Violation]:
     """Exhaustively check the Brouwer-algebra laws; empty list means valid.
 
     Each violated law is reported once, with a minimal witness tuple.
     """
     m = a.size
-    if m > cap:
+    if m > VALIDATE_CAP:
         raise ResourceLimitError(
-            f"validate is cubic in size; {m} elements exceeds cap {cap}")
+            f"validate is cubic in size; {m} elements exceeds cap {VALIDATE_CAP}")
     out: list[Violation] = []
     try:
         check_partial_order(a.leq)
@@ -346,8 +347,7 @@ class FactorResult:
     iso_to_initial_segment: "AlgebraMap | None"
 
 
-def factor_by_principal_filter(a: BrouwerAlgebra, f: int,
-                               find_iso: bool = True) -> FactorResult:
+def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     """Quotient by the principal filter of f:  b <= c in the factor iff
     b x d <= c for some d >= f.  The quotient operations are rebuilt from
     the quotient order (not transported), so the isomorphism with the
@@ -392,9 +392,7 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int,
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
     alg = BrouwerAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
                          labels, f"factor({a.provenance},{f})")
-    iso = None
-    if find_iso and k > 1:
-        iso = is_isomorphic(alg, interval(a, a.bottom, f))
+    iso = is_isomorphic(alg, interval(a, a.bottom, f)) if k > 1 else None
     return FactorResult(alg, class_of, tuple(reps), k == 1, iso)
 
 

@@ -3,9 +3,7 @@
 Validity is algebraic: a formula holds in an algebra when every valuation
 evaluates to the *least* element (the designated truth value).  Under this
 convention And maps to the lattice join, Or to the meet, and the theory of
-the 2-element algebra is exactly classical truth-table validity; the
-``designate_top`` strict mode exists only to demonstrate that designating
-the greatest element breaks that calibration.
+the 2-element algebra is exactly classical truth-table validity.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .algebra import (
+    BN_CAP,
     BrouwerAlgebra,
     all_negations_meet_irreducible,
     bn,
@@ -25,7 +24,7 @@ from .algebra import (
     from_poset,
 )
 from .errors import InputError, ResourceLimitError
-from .poset import Poset, enumerate_posets
+from .poset import ENUMERATION_CAP, Poset, enumerate_posets
 
 DEFAULT_BUDGET = 100_000_000
 MAX_FORMULA_DEPTH = 64
@@ -36,7 +35,7 @@ def evaluation_budget() -> int:
     if raw:
         try:
             return int(float(raw))
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
             raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
     return DEFAULT_BUDGET
 
@@ -253,12 +252,9 @@ def render(f: Formula) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int],
-                 designate_top: bool = False) -> int:
+def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int]) -> int:
     """Plain recursive evaluation (the slow path; also the independent
     re-check used on reported countermodels)."""
-    truth = a.top if designate_top else a.bottom
-    false = a.bottom if designate_top else a.top
 
     def go(g) -> int:
         if isinstance(g, Var):
@@ -266,11 +262,11 @@ def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int],
                 raise InputError(f"unbound variable {g.name!r}")
             return a.check_element(valuation[g.name])
         if isinstance(g, Top):
-            return truth
+            return a.bottom
         if isinstance(g, Bot):
-            return false
+            return a.top
         if isinstance(g, Not):
-            return int(a.imp[go(g.sub), false])
+            return int(a.imp[go(g.sub), a.top])
         if isinstance(g, And):
             return int(a.join[go(g.left), go(g.right)])
         if isinstance(g, Or):
@@ -280,11 +276,8 @@ def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int],
     return go(f)
 
 
-def compile_formula(f: Formula, a: BrouwerAlgebra, var_order: list[str],
-                    designate_top: bool = False):
+def compile_formula(f: Formula, a: BrouwerAlgebra, var_order: list[str]):
     """Postfix program over the kernel opcodes."""
-    truth = a.top if designate_top else a.bottom
-    false = a.bottom if designate_top else a.top
     slot = {v: i for i, v in enumerate(var_order)}
     ops: list[int] = []
     args: list[int] = []
@@ -295,14 +288,14 @@ def compile_formula(f: Formula, a: BrouwerAlgebra, var_order: list[str],
             args.append(slot[g.name])
         elif isinstance(g, Top):
             ops.append(kernels.OP_CONST)
-            args.append(truth)
+            args.append(a.bottom)
         elif isinstance(g, Bot):
             ops.append(kernels.OP_CONST)
-            args.append(false)
+            args.append(a.top)
         elif isinstance(g, Not):
             go(g.sub)
             ops.append(kernels.OP_CONST)
-            args.append(false)
+            args.append(a.top)
             ops.append(kernels.OP_IMP)
             args.append(0)
         else:
@@ -363,20 +356,20 @@ def _decode_valuation(idx: int, m: int, var_order: list[str]) -> dict[str, int]:
 
 
 def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
-             sample_seed: int | None = None, workers: int = 1,
-             designate_top: bool = False) -> ValidityReport:
+             sample_seed: int | None = None, workers: int = 1) -> ValidityReport:
     """Exhaustive scan of all |carrier|^|vars| valuations, in canonical
     (mixed-radix, variables sorted by name) order; the countermodel
     returned is always the least one.  If the step count exceeds the
     budget, a seeded sampling mode must be requested explicitly and can
-    only answer invalid-or-unknown.
+    only answer invalid-or-unknown.  Either mode refuses more than 2**63 - 1 valuations.
     """
     var_order = variables(f)
     k = len(var_order)
     m = a.size
-    ops, args = compile_formula(f, a, var_order, designate_top)
-    designated = a.top if designate_top else a.bottom
     total = m ** k
+    if total > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{m}^{k} valuations do not fit in int64 indices")
+    ops, args = compile_formula(f, a, var_order)
     steps = total * len(ops)
     if budget is None:
         budget = evaluation_budget()
@@ -395,7 +388,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             idxs = rng.integers(0, total, size=block, dtype=np.int64)
             vals = kernels.valuation_digits(idxs, k, m)
             res = kernels.eval_on_valuations(ops, args, vals, a.join, a.meet, a.imp)
-            bad = np.flatnonzero(res != designated)
+            bad = np.flatnonzero(res != a.bottom)
             if bad.size:
                 cand = int(idxs[bad].min())
                 best = cand if best is None else min(best, cand)
@@ -403,18 +396,18 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         if best is None:
             return ValidityReport(f, a, None, None, None, count, "sampling")
         cm = _decode_valuation(best, m, var_order)
-        value = eval_formula(f, a, cm, designate_top)
+        value = eval_formula(f, a, cm)
         return ValidityReport(f, a, False, cm, value, count, "sampling")
 
     workers = max(1, int(workers))
     if workers == 1 or total < workers * 4:
         first = kernels.first_fail(ops, args, k, m, a.join, a.meet, a.imp,
-                                   designated, 0, total)
+                                   a.bottom, 0, total)
     else:
         bounds = [total * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(kernels.first_fail, ops, args, k, m,
-                              a.join, a.meet, a.imp, designated,
+                              a.join, a.meet, a.imp, a.bottom,
                               bounds[w], bounds[w + 1])
                     for w in range(workers)]
             found = [r for r in (fu.result() for fu in futs) if r >= 0]
@@ -422,7 +415,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     if first < 0:
         return ValidityReport(f, a, True, None, None, total, "exhaustive")
     cm = _decode_valuation(first, m, var_order)
-    value = eval_formula(f, a, cm, designate_top)
+    value = eval_formula(f, a, cm)
     return ValidityReport(f, a, False, cm, value, first + 1, "exhaustive")
 
 
@@ -468,10 +461,10 @@ def lm_member(f: Formula, max_level: int, budget: int | None = None,
     """Validity of f in bn(1)..bn(max_level); membership up to that level."""
     if max_level < 1:
         raise InputError("level must be >= 1")
-    if max_level > 5:
-        raise ResourceLimitError("level cap is 5")
-    if max_level == 5 and len(variables(f)) > 1:
-        raise ResourceLimitError("level 5 is only allowed for 1-variable formulas")
+    if max_level > BN_CAP:
+        raise ResourceLimitError(f"level cap is {BN_CAP}")
+    if max_level == BN_CAP and len(variables(f)) > 1:
+        raise ResourceLimitError(f"level {BN_CAP} is only allowed for 1-variable formulas")
     rows = []
     ok = True
     for n in range(1, max_level + 1):
@@ -500,8 +493,8 @@ def countermodel_search(f: Formula, max_size: int,
     """Scan algebras of all posets with 1..max_size elements in canonical
     order; first countermodel wins.  Absence within the bound is NOT a
     validity proof."""
-    if max_size > 7:
-        raise ResourceLimitError("poset size cap is 7")
+    if max_size > ENUMERATION_CAP:
+        raise ResourceLimitError(f"poset size cap is {ENUMERATION_CAP}")
     for n in range(1, max_size + 1):
         for p in enumerate_posets(n):
             a = from_poset(p)

@@ -3,8 +3,8 @@
 Elements are dense integer indices 0..n-1; the order is a full boolean
 matrix, so every comparability query is O(1).  Up-sets are stored both as
 boolean membership vectors and as integer bitmasks (bit i = element i),
-which keeps set algebra on open sets cheap for every size this package
-supports (carriers never exceed 63 elements).
+which keeps set algebra on open sets cheap and bounds a carrier at
+``MAX_POSET_SIZE`` elements.
 """
 
 from __future__ import annotations
@@ -19,9 +19,15 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 
-OPEN_SETS_CAP = 20
-POWERSET_CAP = 6
+MAX_POSET_SIZE = 64        # the width of a uint64 up-set bitmask
+MAX_UP_SETS = 1 << 20      # up-sets one open-set enumeration may produce
 ENUMERATION_CAP = 7
+
+
+def _check_poset_size(n: int) -> None:
+    """Refuse a carrier of n elements before any n x n array is built."""
+    if n > MAX_POSET_SIZE:
+        raise ResourceLimitError(f"poset has {n} elements; the cap is {MAX_POSET_SIZE}")
 
 
 def _as_bool_matrix(leq) -> np.ndarray:
@@ -134,11 +140,13 @@ def make_poset(leq, labels=None, name: str = "poset") -> Poset:
 def chain_poset(n: int) -> Poset:
     if n < 0:
         raise InputError("chain length must be nonnegative")
+    _check_poset_size(n)
     leq = np.triu(np.ones((n, n), dtype=bool))
     return Poset(leq, tuple(str(i) for i in range(n)), f"chain{n}")
 
 
 def antichain_poset(n: int) -> Poset:
+    _check_poset_size(n)
     return Poset(np.eye(n, dtype=bool), tuple(str(i) for i in range(n)), f"antichain{n}")
 
 
@@ -153,41 +161,41 @@ def up_closure(p: Poset, seed) -> UpSet:
     return UpSet(p, members)
 
 
-def open_masks(p: Poset, cap: int = OPEN_SETS_CAP) -> np.ndarray:
+def open_masks(p: Poset) -> np.ndarray:
     """Bitmasks of all up-closed subsets of p, ascending, as uint64.
 
     Elements are added top-down, in order of the size of their up-set, so
     each one is minimal among those added so far: the new up-sets are the
-    old ones that contain its strict up-set, with the element added.
+    old ones that contain its strict up-set, with the element added.  The
+    count only grows, so checking it before each step is exact.
     """
-    if p.size > cap:
-        raise ResourceLimitError(
-            f"open-set enumeration refused: poset has {p.size} elements, cap is {cap}"
-        )
+    _check_poset_size(p.size)
     up = p.up_masks
     masks = np.zeros(1, dtype=np.uint64)
     for x in np.argsort(p.leq.sum(axis=1), kind="stable"):
         bit = np.uint64(1) << np.uint64(x)
         above = up[x] & ~bit
-        masks = np.concatenate([masks, masks[(masks & above) == above] | bit])
+        new = masks[(masks & above) == above] | bit
+        if masks.size + new.size > MAX_UP_SETS:
+            raise ResourceLimitError(f"poset {p.name!r} has more than {MAX_UP_SETS} up-sets")
+        masks = np.concatenate([masks, new])
     masks.sort()
     return masks
 
 
-def open_sets(p: Poset, cap: int = OPEN_SETS_CAP) -> list[UpSet]:
+def open_sets(p: Poset) -> list[UpSet]:
     """All up-closed subsets of p, in ascending bitmask order."""
     bits = np.uint64(1) << np.arange(p.size, dtype=np.uint64)
-    members = (open_masks(p, cap)[:, None] & bits[None, :]) != 0
+    members = (open_masks(p)[:, None] & bits[None, :]) != 0
     return [UpSet(p, row) for row in members]
 
 
-def powerset_poset(n: int, cap: int = POWERSET_CAP) -> Poset:
+def powerset_poset(n: int) -> Poset:
     """Nonempty subsets of {0..n-1} ordered by reverse inclusion (full set is minimum)."""
     if n < 1:
         raise InputError("powerset_poset needs n >= 1")
-    if n > cap:
-        raise ResourceLimitError(f"powerset_poset cap is {cap}, got n={n}")
-    size = (1 << n) - 1
+    size = (1 << min(n, MAX_POSET_SIZE)) - 1  # min: a huge n builds no huge int
+    _check_poset_size(size)
     sets = [m + 1 for m in range(size)]  # element i corresponds to bitmask i+1
     leq = np.zeros((size, size), dtype=bool)
     for i, s in enumerate(sets):
@@ -197,10 +205,10 @@ def powerset_poset(n: int, cap: int = POWERSET_CAP) -> Poset:
     return Poset(leq, labels, f"2^{n}-{{}}")
 
 
-def down_sets_masks(p: Poset, cap: int = OPEN_SETS_CAP) -> list[int]:
+def down_sets_masks(p: Poset) -> list[int]:
     """Bitmasks of all downward-closed subsets (complements of the up-sets)."""
     full = (1 << p.size) - 1
-    return sorted(full ^ m for m in open_masks(p, cap).tolist())
+    return sorted(full ^ m for m in open_masks(p).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def _enumerate_canonical(n: int) -> tuple[bytes, ...]:
         base = np.frombuffer(key, dtype=np.uint8).reshape(n - 1, n - 1).astype(bool)
         parent = Poset(base.copy(), tuple(str(i) for i in range(n - 1)))
         # adding one new maximal element; its strict down-set is any down-closed set
-        for dmask in down_sets_masks(parent, cap=n - 1):
+        for dmask in down_sets_masks(parent):
             leq = np.zeros((n, n), dtype=bool)
             leq[: n - 1, : n - 1] = base
             leq[n - 1, n - 1] = True
@@ -276,12 +284,12 @@ def _enumerate_canonical(n: int) -> tuple[bytes, ...]:
     return tuple(sorted(seen))
 
 
-def enumerate_posets(n: int, cap: int = ENUMERATION_CAP) -> list[Poset]:
+def enumerate_posets(n: int) -> list[Poset]:
     """One representative per isomorphism class of n-element posets."""
     if n < 1:
         raise InputError("enumerate_posets needs n >= 1")
-    if n > cap:
-        raise ResourceLimitError(f"poset enumeration cap is {cap}, got n={n}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"poset enumeration cap is {ENUMERATION_CAP}, got n={n}")
     out = []
     for k, key in enumerate(_enumerate_canonical(n)):
         leq = np.frombuffer(key, dtype=np.uint8).reshape(n, n).astype(bool)
@@ -322,6 +330,7 @@ def poset_from_dict(d: dict) -> Poset:
     except (KeyError, TypeError) as e:
         raise InputError(f"poset file needs 'elements' and 'le' keys: {e}")
     n = len(labels)
+    _check_poset_size(n)
     leq = np.eye(n, dtype=bool)
     for pair in pairs:
         if len(pair) != 2:

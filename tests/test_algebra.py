@@ -142,7 +142,12 @@ def test_validate_flags_bad_join():
 
 def test_validate_cap():
     with pytest.raises(ResourceLimitError):
-        validate(bn(4), cap=100)
+        validate(from_poset(antichain_poset(9)))  # 512 elements
+
+
+def test_from_poset_refuses_oversized_algebra():
+    with pytest.raises(ResourceLimitError, match="16384 elements"):
+        from_poset(antichain_poset(14))
 
 
 def test_is_distributive():

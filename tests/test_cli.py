@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import medlat
 from medlat.cli import main, resolve_algebra, resolve_element
 from medlat.errors import InputError
 from medlat.algebra import bn
@@ -85,6 +92,19 @@ def test_check_budget_error_exits_2(capsys):
     rc, _, err = run(capsys, "check", "(~p -> q | r) -> (~p -> q) | (~p -> r)",
                      "--algebra", "bn:3", "--budget", "10")
     assert rc == 2 and "sampling" in err
+
+
+@pytest.mark.parametrize("argv,budget_env", [
+    (["check", " | ".join("abcdefghijklmno"), "--algebra", "bn:3",
+      "--sample", "1", "--budget", "1000"], None),  # 19^15 valuations > int64
+    (["check", "p", "--algebra", "bn:2"], "inf"),
+])
+def test_unrepresentable_numbers_exit_2(capsys, monkeypatch, argv, budget_env):
+    if budget_env is not None:
+        monkeypatch.setenv("MEDLAT_BUDGET", budget_env)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_sampling_mode(capsys):
@@ -206,3 +226,87 @@ def test_verify_suites(capsys):
     assert rc == 0
     rc, out, _ = run(capsys, "verify", "factor", "--max-poset", "3")
     assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# resource limits
+# ---------------------------------------------------------------------------
+
+def _write_poset_files(tmp):
+    """chain30.json, chain65.json and antichain16.json in tmp."""
+    for name, n, le in (("chain30", 30, True), ("chain65", 65, True),
+                        ("antichain16", 16, False)):
+        (tmp / f"{name}.json").write_text(json.dumps({
+            "name": name, "elements": [str(i) for i in range(n)],
+            "le": [[i, j] for i in range(n) for j in range(i + 1, n)] if le else [],
+        }))
+
+
+# The child prints its peak RSS in KiB.  VmHWM starts afresh at exec, unlike
+# ru_maxrss, which a child inherits from a large parent such as this one.
+_CHILD = """
+import sys
+from medlat.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(rc)
+"""
+
+
+# chain:66 is a 65-element chain poset; antichain16 has 65,536 up-sets
+@pytest.mark.parametrize("spec", ["chain:100000", "chain:66", "poset:{tmp}/antichain16.json",
+                                  "poset:{tmp}/chain65.json"])
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_oversized_specs_are_refused_before_allocating(tmp_path, spec):
+    _write_poset_files(tmp_path)
+    src = str(Path(medlat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, "report", "--algebra", spec.format(tmp=tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert int(proc.stdout) < 200 * 1024  # peak RSS below 200 MB
+
+
+# chain:m has m elements; chain:31 and chain30.json are the same 30-element chain poset
+@pytest.mark.parametrize("spec,size", [("chain:30", 30), ("chain:31", 31),
+                                       ("poset:{tmp}/chain30.json", 31)])
+def test_long_chains_with_few_up_sets_work(capsys, tmp_path, spec, size):
+    _write_poset_files(tmp_path)
+    rc, out, _ = run(capsys, "report", "--algebra", spec.format(tmp=tmp_path), "--json")
+    assert rc == 0 and json.loads(out)["structure"]["size"] == size
+
+
+# Selectors from the grammar in the cli docstring, with out-of-range and huge
+# integers and junk tokens.  bn:5 takes seconds to build and is left out, and
+# so are quotients of bn:4 and free:4, which take seconds each.
+_JUNK = st.sampled_from(["", "x", "-", "--1", "1.5", "0x10", "1e3", "\u0663", "\u00b2",
+                        "9" * 5000])
+_NUM = st.one_of(st.integers(-2, 3), st.integers(6, 10 ** 30)).map(str) | _JUNK
+_CHAIN = st.one_of(st.integers(-2, 12), st.integers(64, 67),
+                   st.integers(10 ** 5, 10 ** 30)).map(str) | _JUNK
+_ELEM = (st.one_of(st.integers(-2, 40), st.integers(10 ** 18, 10 ** 30)).map(str)
+         | st.sampled_from(["{}", "{0}", "{{0}}", "[{}]"]) | _JUNK)
+_SMALL = st.one_of(
+    st.builds("bn:{}".format, _NUM),
+    st.builds("free:{}".format, _NUM),
+    st.builds("chain:{}".format, _CHAIN),
+    st.sampled_from(["poset:", "poset:/", "poset:/nonexistent/p.json", "zz:1", "bn", "",
+                     ":", "interval:", "factor:", "interval:,,", "factor:,"]),
+)
+_SPECS = st.one_of(
+    st.sampled_from(["bn:4", "free:4", "chain:65"]),
+    st.recursive(_SMALL, lambda inner: st.one_of(
+        st.builds("interval:{},{},{}".format, inner, _ELEM, _ELEM),
+        st.builds("factor:{},{}".format, inner, _ELEM)), max_leaves=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_SPECS)
+def test_any_selector_keeps_the_exit_code_contract(spec):
+    # main() must return an exit code; an escaping exception is a traceback
+    assert main(["check", "p | ~p", "--algebra", spec]) in (0, 1, 2)

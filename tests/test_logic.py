@@ -162,14 +162,6 @@ def test_countermodel_is_least_and_rechecks():
     assert rep.value_reached != a.bottom
 
 
-def test_designating_the_top_breaks_classical_calibration():
-    # with the greatest element designated, even p -> p stops being valid
-    a = bn(1)
-    assert is_valid(parse("p -> p"), a).valid is True
-    assert is_valid(parse("p -> p"), a, designate_top=True).valid is False
-    assert is_valid(parse("p | ~p"), a, designate_top=True).valid is False
-
-
 def test_workers_agree_with_single_scan():
     a = bn(3)
     for name in ("kp", "lin"):
@@ -202,12 +194,21 @@ def test_sampling_never_claims_validity():
     assert rep.valid is None and rep.mode == "sampling"
 
 
+@pytest.mark.parametrize("budget,seed", [(1000, 1), (10 ** 30, None)])
+def test_valuation_space_wider_than_int64_is_refused(budget, seed):
+    # 19^15 > 2^63 - 1: sampling and exhaustive scans would both index it in int64
+    f = parse(" | ".join("abcdefghijklmno"))
+    with pytest.raises(ResourceLimitError, match="int64"):
+        is_valid(f, bn(3), budget=budget, sample_seed=seed)
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("MEDLAT_BUDGET", "1e3")
     assert evaluation_budget() == 1000
-    monkeypatch.setenv("MEDLAT_BUDGET", "bogus")
-    with pytest.raises(InputError):
-        evaluation_budget()
+    for raw in ("bogus", "inf"):
+        monkeypatch.setenv("MEDLAT_BUDGET", raw)
+        with pytest.raises(InputError):
+            evaluation_budget()
     monkeypatch.delenv("MEDLAT_BUDGET")
     assert evaluation_budget() == 100_000_000
 

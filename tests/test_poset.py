@@ -7,6 +7,7 @@ import pytest
 from conftest import random_poset, transitive_closure_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.poset import (
+    MAX_UP_SETS,
     antichain_poset,
     canonical_form,
     chain_poset,
@@ -138,7 +139,9 @@ def test_open_sets_counts():
     assert len(open_sets(antichain_poset(4))) == 16
     assert len(open_sets(chain_poset(20))) == 21
     assert len(open_masks(antichain_poset(18))) == 2 ** 18
-    assert len(open_masks(powerset_poset(5), cap=31)) == 7580  # size of bn(5)
+    assert len(open_masks(antichain_poset(20))) == MAX_UP_SETS
+    assert len(open_masks(chain_poset(64))) == 65
+    assert len(open_masks(powerset_poset(5))) == 7580  # size of bn(5)
 
 
 def test_open_sets_closure_under_union_intersection():
@@ -154,7 +157,7 @@ def test_open_sets_closure_under_union_intersection():
 def test_open_sets_frontier_path_matches_definition():
     # a chain keeps the count of an 18-element carrier small
     p = chain_poset(18)
-    masks = [u.mask for u in open_sets(p, cap=20)]
+    masks = [u.mask for u in open_sets(p)]
     assert len(masks) == 19
     for mask in masks:
         members = {i for i in range(p.size) if mask >> i & 1}
@@ -163,8 +166,10 @@ def test_open_sets_frontier_path_matches_definition():
 
 
 def test_open_sets_cap():
-    with pytest.raises(ResourceLimitError):
-        open_sets(chain_poset(21))
+    with pytest.raises(ResourceLimitError, match="up-sets"):
+        open_sets(antichain_poset(21))
+    with pytest.raises(ResourceLimitError, match="65 elements"):
+        open_sets(chain_poset(65))
 
 
 def test_down_sets_are_complements(fork):

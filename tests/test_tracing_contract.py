@@ -1,0 +1,41 @@
+"""The names perfbench/tracing.py wraps must exist in the library.
+
+The tracer patches the functions listed in its TARGETS and reads the
+``start`` and ``stop`` arguments of ``kernels.first_fail`` by position, so
+renaming a function or reordering those parameters would make a traced
+benchmark run fail or count the wrong valuations.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from medlat import kernels
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_name_resolves(tracing):
+    for module, names in tracing.TARGETS.items():
+        mod = importlib.import_module(f"medlat.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"medlat.{module}.{name}"
+
+
+def test_first_fail_counter_reads_start_and_stop(tracing):
+    params = list(inspect.signature(kernels.first_fail).parameters)
+    assert params[8:10] == ["start", "stop"]
+    args = [None] * 8 + [10, 50]
+    assert tracing.COUNTERS["kernels.first_fail"](args, 14) == 5
+    assert tracing.COUNTERS["kernels.first_fail"](args, -1) == 40
