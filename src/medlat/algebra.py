@@ -29,6 +29,7 @@ from .poset import (
 )
 
 MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
+_TABLE_BLOCK = 1 << 20      # table entries from_poset computes at a time
 VALIDATE_CAP = 320
 BN_CAP = 5
 
@@ -87,30 +88,34 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion.
 
     join = intersection, meet = union, bottom = whole carrier, top = empty
-    set, and  U -> V = {a : [a) & U <= V}.
+    set, and  U -> V = {a : [a) & U <= V}.  The tables are filled in blocks
+    of about ``_TABLE_BLOCK`` entries, a band of rows at a time.
     """
     masks = open_masks(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-    up = p.up_masks
+    luts = kernels.down_luts(p.down_masks)
 
     leq = np.empty((m, m), dtype=bool)
     join = np.empty((m, m), dtype=np.int32)
     meet = np.empty((m, m), dtype=np.int32)
-    block = max(1, (1 << 22) // max(m, 1))
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        chunk = masks[lo:hi, None]
-        leq[lo:hi] = (chunk & masks[None, :]) == masks[None, :]  # U >= V as sets
-        join[lo:hi] = _index_of_masks(masks, chunk & masks[None, :])
-        meet[lo:hi] = _index_of_masks(masks, chunk | masks[None, :])
-
-    imp_m = kernels.imp_masks(masks, up)
     imp = np.empty((m, m), dtype=np.int32)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        imp[lo:hi] = _index_of_masks(masks, imp_m[lo:hi])
+    rows = max(1, _TABLE_BLOCK // m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        u, rest = masks[lo:hi, None], masks[None, lo:]
+        # leq, join and meet are known left of column lo from the strips
+        # mirrored by earlier bands: fill the rest of the band, and mirror
+        # its part right of the band into the strip below it.
+        inter = u & rest
+        leq[lo:hi, lo:] = inter == rest  # U >= V as sets
+        leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
+        join[lo:hi, lo:] = _index_of_masks(masks, inter)
+        join[hi:, lo:hi] = join[lo:hi, hi:].T
+        meet[lo:hi, lo:] = _index_of_masks(masks, u | rest)
+        meet[hi:, lo:hi] = meet[lo:hi, hi:].T
+        imp[lo:hi] = _index_of_masks(masks, kernels.imp_masks(masks[lo:hi], masks, luts))
 
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"

@@ -1,4 +1,4 @@
-"""Numeric kernels: valuation-space scanning and implication tables.
+"""Numeric kernels: valuation-space scanning and up-set implication.
 
 Formulas are compiled to postfix programs over small int arrays so the
 kernels never touch Python objects:
@@ -11,6 +11,11 @@ kernels never touch Python objects:
 of explicit valuations, one numpy table lookup per opcode.  ``first_fail``
 scans a range of valuation indices in blocks of ``_BLOCK``, decoding each
 block with ``valuation_digits``.
+
+``imp_masks`` computes one block of the implication of an up-set algebra on
+bitmasks, ``U -> V = P \\ down(U \\ V)``.  The down-closure is a union of
+table lookups, one per byte of the mask, in the tables ``down_luts`` builds
+once per poset from its principal down-sets.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 OP_VAR, OP_CONST, OP_JOIN, OP_MEET, OP_IMP = 0, 1, 2, 3, 4
 
 _BLOCK = 1 << 15
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)  # [i, w]: bit i of w
 
 
 def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
@@ -63,15 +69,25 @@ def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop):
     return -1
 
 
-def imp_masks(masks, up_masks):
-    """For opens U, V (as bitmasks): imp[U,V] = mask of {a : [a) & U <= V}."""
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    up_masks = np.ascontiguousarray(up_masks, dtype=np.uint64)
-    m = masks.shape[0]
-    bits = np.uint64(1) << np.arange(up_masks.shape[0], dtype=np.uint64)
-    out = np.empty((m, m), dtype=np.uint64)
-    filt = masks[:, None] & up_masks[None, :]  # (m, psize)
-    for v in range(m):
-        ok = (filt & ~masks[v]) == 0
-        out[:, v] = (ok * bits[None, :]).sum(axis=1, dtype=np.uint64)
+def down_luts(down_masks) -> np.ndarray:
+    """Per-byte down-closure tables of a poset whose principal down-sets are
+    down_masks: luts[b, w] is the union of the down-sets of the elements
+    8b + i over the bits i of w.  An n-element poset has max(1, ceil(n / 8))
+    tables."""
+    n = len(down_masks)
+    d = np.zeros(max(1, -(-n // 8)) * 8, dtype=np.uint64)
+    d[:n] = down_masks
+    return np.bitwise_or.reduce(_BYTE_BITS * d.reshape(-1, 8, 1), axis=1)
+
+
+def imp_masks(rows, cols, luts):
+    """Implication block of an up-set algebra, as bitmasks: for U in rows and
+    V in cols, out[i, j] = U -> V = {a : [a) & U <= V} = P \\ down(U \\ V),
+    with down read off the tables of ``down_luts`` one byte of U \\ V at a time."""
+    w = (rows[:, None] & ~cols[None, :]).astype("<u8", copy=False)
+    byte = w.view(np.uint8).reshape(w.shape + (8,))  # byte b holds bits 8b..8b+7
+    out = luts[0].take(byte[..., 0])
+    for b in range(1, len(luts)):
+        out |= luts[b].take(byte[..., b])
+    out ^= np.bitwise_or.reduce(luts[:, 255])  # P: every element lies in its own down-set
     return out

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
@@ -67,6 +66,12 @@ def check_partial_order(leq: np.ndarray) -> None:
         raise InputError(f"relation is not transitive: ({i},{j}) missing")
 
 
+def _row_masks(rel: np.ndarray) -> np.ndarray:
+    """Row i of a boolean matrix as a uint64 bitmask (bit j = rel[i, j])."""
+    bits = np.uint64(1) << np.arange(rel.shape[1], dtype=np.uint64)
+    return (rel * bits[None, :]).sum(axis=1, dtype=np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class Poset:
     """An immutable finite partial order over elements 0..size-1."""
@@ -88,8 +93,12 @@ class Poset:
     @property
     def up_masks(self) -> np.ndarray:
         """up_masks[a] = bitmask of the principal up-set of a."""
-        bits = np.uint64(1) << np.arange(self.size, dtype=np.uint64)
-        return (self.leq * bits[None, :]).sum(axis=1, dtype=np.uint64)
+        return _row_masks(self.leq)
+
+    @property
+    def down_masks(self) -> np.ndarray:
+        """down_masks[a] = bitmask of the principal down-set of a."""
+        return _row_masks(self.leq.T)
 
     def minimal_elements(self) -> list[int]:
         below = self.leq.sum(axis=0)  # includes reflexive pair
@@ -302,21 +311,52 @@ def max_antichain_size(leq) -> int:
 
     Uses Dilworth's theorem: a minimum chain cover of the order has the same
     size as a maximum antichain, and the cover size is n minus a maximum
-    matching in the bipartite comparability graph.
+    matching in the bipartite graph with an edge x -> y for each x < y.
+    The matching grows along augmenting paths: each pass searches from every
+    unmatched x with one shared visited set, and the passes stop when one
+    finds no path (then none exists, as the matching did not change).
     """
     m = _as_bool_matrix(leq)
     check_partial_order(m)
     n = m.shape[0]
-    g = nx.Graph()
-    left = [("u", i) for i in range(n)]
-    g.add_nodes_from(left, bipartite=0)
-    g.add_nodes_from((("v", i) for i in range(n)), bipartite=1)
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i, j]:
-                g.add_edge(("u", i), ("v", j))
-    matching = nx.bipartite.maximum_matching(g, top_nodes=left)
-    return n - len(matching) // 2
+    # Relabel by decreasing up-set size, a linear extension in which the
+    # nearest elements above x come first in its row: covers are tried first.
+    order = np.argsort(-m.sum(axis=1), kind="stable")
+    lt = m[np.ix_(order, order)] & ~np.eye(n, dtype=bool)
+    above = [np.flatnonzero(row).tolist() for row in lt]
+    mate = [-1] * n  # mate[y] = x when the edge x -> y is matched
+    free = list(range(n))
+    while True:
+        seen = [False] * n
+        still = [x for x in free if not _augment(x, above, mate, seen)]
+        if len(still) == len(free):
+            return len(free)
+        free = still
+
+
+def _augment(root: int, above: list, mate: list, seen: list) -> bool:
+    """Depth-first search for an augmenting path from the unmatched root,
+    flipping it into the matching if found.  The stack is explicit, so long
+    chains cannot hit the recursion limit."""
+    stack = [(root, iter(above[root]))]
+    via = []  # via[i] is the y that led from stack[i] to stack[i + 1]
+    while stack:
+        for y in stack[-1][1]:
+            if seen[y]:
+                continue
+            seen[y] = True
+            if mate[y] < 0:
+                for (x, _), z in zip(stack, via + [y]):
+                    mate[z] = x
+                return True
+            stack.append((mate[y], iter(above[mate[y]])))
+            via.append(y)
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +371,14 @@ def poset_from_dict(d: dict) -> Poset:
         raise InputError(f"poset file needs 'elements' and 'le' keys: {e}")
     n = len(labels)
     _check_poset_size(n)
+    if not isinstance(pairs, list):
+        raise InputError(f"'le' must be a list of pairs, got {type(pairs).__name__}")
     leq = np.eye(n, dtype=bool)
     for pair in pairs:
-        if len(pair) != 2:
-            raise InputError(f"bad le pair {pair!r}")
-        i, j = int(pair[0]), int(pair[1])
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+            raise InputError(f"bad le pair {pair!r}: expected two integer indices")
+        i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"le pair {pair!r} out of range for {n} elements")
         leq[i, j] = True

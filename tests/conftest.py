@@ -25,12 +25,12 @@ def transitive_closure_poset(n: int, edges) -> Poset:
     return make_poset(leq)
 
 
-def random_poset(rng: np.random.Generator, n: int) -> Poset:
+def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> Poset:
     """Random partial order: random edges respecting a random linear order."""
     perm = rng.permutation(n)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 edges.append((int(perm[i]), int(perm[j])))
     return transitive_closure_poset(n, edges)

@@ -88,6 +88,15 @@ def test_report_malformed_spec_exits_2(capsys, tmp_path, spec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("le", ["[5]", "[[0.5, 1]]", "[[true, 1]]", "[[0, 1, 1]]", "5"])
+def test_malformed_le_entries_exit_2(capsys, tmp_path, le):
+    path = tmp_path / "p.json"
+    path.write_text('{"elements": ["a", "b"], "le": %s}' % le)
+    rc, out, err = run(capsys, "check", "p", "--algebra", f"poset:{path}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_check_budget_error_exits_2(capsys):
     rc, _, err = run(capsys, "check", "(~p -> q | r) -> (~p -> q) | (~p -> r)",
                      "--algebra", "bn:3", "--budget", "10")

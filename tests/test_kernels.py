@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import random_poset
 from medlat import kernels
-from medlat.algebra import bn, chain_algebra
+from medlat.algebra import bn, chain_algebra, from_poset
 from medlat.logic import axiom, compile_formula, eval_formula, parse, variables
+from medlat.poset import chain_poset, open_masks
 
 
 def _programs():
@@ -95,31 +97,60 @@ def test_valuation_digits_decode_indices():
     assert kernels.valuation_digits(idx[:4], 0, 5).shape == (4, 0)
 
 
+def _imp_posets():
+    """Posets whose up-set masks span one to eight lookup bytes: bn(1..4)
+    (bn(4)'s poset has 15 elements), chains of 20 and 64 elements (bit 63)
+    and seeded random posets with 9 to 20 elements."""
+    rng = np.random.default_rng(41)
+    return ([bn(n).poset for n in (1, 2, 3, 4)] + [chain_poset(20), chain_poset(64)]
+            + [random_poset(rng, n) for n in range(9, 21)])
+
+
+def _imp_block(p, rng, k=40):
+    """Up to k rows and k columns of p's up-sets and imp_masks on them."""
+    masks = open_masks(p)
+    rows = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
+    cols = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
+    out = kernels.imp_masks(masks[rows], masks[cols], kernels.down_luts(p.down_masks))
+    return rows, cols, out
+
+
 def test_imp_masks_backends_agree():
     """imp_masks matches residuation: U -> V is the least W with U + W >= V,
-    read off the order and join tables of bn(1..3)."""
-    for n in (1, 2, 3):
-        a = bn(n)
-        got = kernels.imp_masks(a.open_masks, a.poset.up_masks)
-        for u in range(a.size):
-            for v in range(a.size):
+    read off the order and join tables of the algebra."""
+    rng = np.random.default_rng(7)
+    for p in _imp_posets():
+        a = from_poset(p)
+        rows, cols, got = _imp_block(p, rng)
+        for i, u in enumerate(rows):
+            for j, v in enumerate(cols):
                 cover = np.flatnonzero(a.leq[v, a.join[u, :]])
-                least = [w for w in cover if a.leq[w, cover].all()]
-                assert int(got[u, v]) == int(a.open_masks[least[0]])
+                least = cover[a.leq[np.ix_(cover, cover)].all(axis=1)]
+                assert int(got[i, j]) == int(a.open_masks[least[0]])
 
 
 def test_imp_masks_definition():
-    for n in (1, 2, 3):
-        a = bn(n)
-        up = a.poset.up_masks
-        out = kernels.imp_masks(a.open_masks, up)
-        for u in range(a.size):
-            for v in range(a.size):
-                want = 0
-                for x in range(a.poset.size):
-                    if int(a.open_masks[u]) & int(up[x]) & ~int(a.open_masks[v]) == 0:
-                        want |= 1 << x
-                assert int(out[u, v]) == want
+    """imp_masks matches its definition {x : [x) & U <= V}, bit by bit."""
+    rng = np.random.default_rng(8)
+    for p in _imp_posets():
+        masks = open_masks(p).tolist()
+        up = [int(x) for x in p.up_masks]
+        rows, cols, out = _imp_block(p, rng)
+        for i, u in enumerate(rows):
+            for j, v in enumerate(cols):
+                want = sum(1 << x for x in range(p.size)
+                           if masks[u] & up[x] & ~masks[v] == 0)
+                assert int(out[i, j]) == want
+
+
+def test_down_luts_one_table_per_byte():
+    for n, tables in ((0, 1), (1, 1), (8, 1), (9, 2), (64, 8)):
+        luts = kernels.down_luts(chain_poset(n).down_masks)
+        assert luts.shape == (tables, 256) and luts.dtype == np.uint64
+    # in a chain the down-set of a set of elements is that of its largest
+    luts = kernels.down_luts(chain_poset(64).down_masks)
+    assert int(luts[7, 0b1000_0000]) == (1 << 64) - 1
+    assert int(luts[0, 0b0000_0101]) == 0b111
 
 
 def test_no_fail_returns_minus_one():

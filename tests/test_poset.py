@@ -1,10 +1,17 @@
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medlat
 from conftest import random_poset, transitive_closure_poset
+from medlat.algebra import from_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.poset import (
     MAX_UP_SETS,
@@ -285,9 +292,46 @@ def test_max_antichain_random():
 
 
 def test_max_antichain_enumerated():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in enumerate_posets(n):
             assert max_antichain_size(p.leq) == _max_antichain_oracle(p)
+
+
+def test_max_antichain_matches_up_set_minima():
+    """Antichains are the sets of minimal elements of up-sets, so the width
+    is the largest such set over open_masks; posets with 8 to 40 elements."""
+    rng = np.random.default_rng(5)
+    for n in range(8, 41, 2):
+        for density in (0.2, 0.4):
+            p = random_poset(rng, n, density)
+            ups = open_masks(p)
+            covered = np.zeros_like(ups)  # union of the strict up-sets of members
+            for x, strict in enumerate(p.up_masks & ~(np.uint64(1) << np.arange(n, dtype=np.uint64))):
+                covered[(ups >> np.uint64(x)) & np.uint64(1) == 1] |= strict
+            width = max(bin(int(u)).count("1") for u in ups & ~covered)
+            assert max_antichain_size(p.leq) == width
+
+
+def test_max_antichain_of_boolean_lattices_is_sperner():
+    """The up-sets of a k-antichain form the Boolean lattice 2^k, whose
+    widest level has C(k, floor(k/2)) elements (Sperner's theorem)."""
+    for k in range(11):
+        assert max_antichain_size(from_poset(antichain_poset(k)).leq) == math.comb(k, k // 2)
+
+
+def test_max_antichain_of_a_long_chain():
+    # augmenting paths are searched with an explicit stack, not recursion
+    assert max_antichain_size(np.triu(np.ones((3000, 3000), dtype=bool))) == 1
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(medlat.__file__).resolve().parent.parent)
+    code = "import sys, medlat; print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +359,8 @@ def test_poset_from_dict_errors():
         poset_from_dict({"elements": ["a", "b"], "le": [[0, 5]]})
     with pytest.raises(InputError):
         poset_from_dict({"elements": ["a", "b"], "le": [[0, 1], [1, 0]]})
+    # only lists of pairs of integers (not bools, floats or strings)
+    for le in ([5], [[0.5, 1]], [[0, 1.0]], [[True, 1]], [["0", "1"]], [[0, 1, 1]],
+               [[0]], [None], 5, "01", {"0": 1}):
+        with pytest.raises(InputError):
+            poset_from_dict({"elements": ["a", "b"], "le": le})
