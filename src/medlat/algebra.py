@@ -375,23 +375,26 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
         class_of[members] = k
         reps.append(x)
     k = len(reps)
-    leq_q = np.zeros((k, k), dtype=bool)
-    for i, r in enumerate(reps):
-        for j, s in enumerate(reps):
-            leq_q[i, j] = reach[r, s]
+    leq_q = reach[np.ix_(reps, reps)]
+    geq_q = np.ascontiguousarray(leq_q.T)
     join_q = np.empty((k, k), dtype=np.int32)
     meet_q = np.empty((k, k), dtype=np.int32)
     imp_q = np.empty((k, k), dtype=np.int32)
-    for i in range(k):
-        for j in range(k):
-            ub = np.flatnonzero(leq_q[i, :] & leq_q[j, :])
-            join_q[i, j] = _unique_extreme(leq_q, ub, least=True)
-            lb = np.flatnonzero(leq_q[:, i] & leq_q[:, j])
-            meet_q[i, j] = _unique_extreme(leq_q, lb, least=False)
-    for i in range(k):
-        for j in range(k):
-            cand = np.flatnonzero(leq_q[j, join_q[i, :]])
-            imp_q[i, j] = _unique_extreme(leq_q, cand, least=True)
+    above = leq_q.sum(axis=1, dtype=np.int32)
+    below = leq_q.sum(axis=0, dtype=np.int32)
+    step = max(1, _TABLE_BLOCK // k)
+
+    def chunks():
+        """Pairs (i, j) in flat order i * k + j, about _TABLE_BLOCK // k at a time."""
+        for lo in range(0, k * k, step):
+            yield lo, *np.divmod(np.arange(lo, min(lo + step, k * k)), k)
+
+    for lo, i, j in chunks():
+        join_q.flat[lo:lo + len(i)] = _least(leq_q[i] & leq_q[j], leq_q, above)
+        meet_q.flat[lo:lo + len(i)] = _least(geq_q[i] & geq_q[j], geq_q, below)
+    for lo, i, j in chunks():
+        # imp_q[i, j] is the least c with j <= i + c
+        imp_q.flat[lo:lo + len(i)] = _least(leq_q[j[:, None], join_q[i]], leq_q, above)
     bottom_q = int(class_of[a.bottom])
     top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
@@ -401,12 +404,16 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     return FactorResult(alg, class_of, tuple(reps), k == 1, iso)
 
 
-def _unique_extreme(leq_q: np.ndarray, cand: np.ndarray, least: bool) -> int:
-    for c in cand:
-        ok = leq_q[c, cand].all() if least else leq_q[cand, c].all()
-        if ok:
-            return int(c)
-    raise InputError("quotient order has no unique bound (not a lattice congruence?)")
+def _least(sets: np.ndarray, order: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The least element, in the partial order ``order``, of each row of the
+    bool matrix sets (column c: c is a member).  It is the member with the
+    most elements above it (``above`` counts them), and it must lie below
+    every member."""
+    least = np.where(sets, above, -1).argmax(axis=1)
+    member = sets[np.arange(len(sets)), least]
+    if not member.all() or (sets & ~order[least]).any():
+        raise InputError("quotient order has no unique bound (not a lattice congruence?)")
+    return least
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=None,
                         help="evaluation step budget (default: MEDLAT_BUDGET or 1e8)")
         sp.add_argument("--parallel", type=int, default=1, metavar="K",
-                        help="worker count for valuation scans")
+                        help="worker threads for valuation scans; at most the CPU count "
+                             "and the scan's blocks are used")
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("check", help="decide a formula in one algebra")

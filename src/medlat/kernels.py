@@ -7,10 +7,21 @@ kernels never touch Python objects:
     opcode 1: push constant element arg  4: pop two, push imp[x, y]
     opcode 2: pop two, push join[x, y]
 
-``eval_on_valuations`` is the one interpreter: it runs a program on a block
-of explicit valuations, one numpy table lookup per opcode.  ``first_fail``
-scans a range of valuation indices in blocks of ``_BLOCK``, decoding each
-block with ``valuation_digits``.
+``evaluate`` is the one interpreter.  Its leaves are one int array per
+variable, and the arrays broadcast against each other: each binary opcode
+is one table lookup on ``x * m + y``, so a subterm's array carries only the
+axes of the variables it contains, and a constant stays a scalar.
+
+``first_fail`` scans valuation indices in mixed radix, the first variable
+most significant.  The trailing j variables, the most with m**j <= _BLOCK,
+are broadcast axes: ``arange(m)`` on axis 1 + t for the t-th of them, built
+once per scan.  The m**j valuations that share the values of the leading
+variables form a block.  A step of the scan covers up to _BLOCK // m**j
+consecutive blocks: the leading variables are decoded with
+``valuation_digits``, one row per block, and enter as (c, 1, ..., 1)
+columns.  The root, broadcast to (c, m, ..., m) and raveled in C order, is
+the step's valuations in index order; a range that starts or ends inside a
+block is sliced out of it.
 
 ``imp_masks`` computes one block of the implication of an up-set algebra on
 bitmasks, ``U -> V = P \\ down(U \\ V)``.  The down-closure is a union of
@@ -35,37 +46,66 @@ def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
     return (idx[:, None] // radix[None, :]) % m
 
 
-def eval_on_valuations(ops, args, valuations, join, meet, imp):
-    """Vectorized evaluation of a postfix program on explicit valuations.
+def evaluate(ops, args, leaves, join, meet, imp):
+    """Value of a postfix program with leaves[i] as the value of variable i.
 
-    valuations: int array (count, nvars).  Returns int array (count,).
+    The leaves are int arrays that broadcast against each other; the result
+    has the shape the leaves of the program's variables broadcast to, and is
+    a scalar for a program without variables.
     """
     m = join.shape[0]
-    tables = {OP_JOIN: join.ravel(), OP_MEET: meet.ravel(), OP_IMP: imp.ravel()}
-    vals = np.asarray(valuations, dtype=np.int64)
+    tables = (None, None, join.ravel(), meet.ravel(), imp.ravel())
     stack = []
-    for op, arg in zip(ops, args):
+    for op, arg in zip(np.asarray(ops).tolist(), np.asarray(args).tolist()):
         if op == OP_VAR:
-            stack.append(vals[:, arg])
+            stack.append(leaves[arg])
         elif op == OP_CONST:
-            stack.append(np.full(vals.shape[0], arg, dtype=np.int64))
+            stack.append(arg)
         else:
             b = stack.pop()
             a = stack.pop()
-            stack.append(tables[op][a * m + b])
+            stack.append(tables[op].take(a * m + b))
     return stack[0]
+
+
+def _trailing(nvars: int, m: int) -> int:
+    """How many trailing variables the scan broadcasts: the most j <= nvars
+    with m**j <= _BLOCK."""
+    j = 0
+    while j < nvars and m ** (j + 1) <= _BLOCK:
+        j += 1
+    return j
+
+
+def scan_block(nvars: int, m: int) -> int:
+    """Valuations per block of ``first_fail``: m**j for its j broadcast
+    trailing variables.  It divides m**nvars."""
+    return m ** _trailing(nvars, m)
 
 
 def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop):
     """Least valuation index in [start, stop) where the program does not hit
     the designated element, or -1."""
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        vals = valuation_digits(np.arange(lo, hi, dtype=np.int64), nvars, m)
-        res = eval_on_valuations(ops, args, vals, join, meet, imp)
-        bad = np.flatnonzero(res != designated)
+    j = _trailing(nvars, m)
+    inner = m ** j
+    trailing = [np.arange(m).reshape((1,) * (1 + t) + (m,) + (1,) * (j - 1 - t))
+                for t in range(j)]
+    per_step = max(1, _BLOCK // inner)
+    end = -(-stop // inner)
+    for b in range(start // inner, end, per_step):
+        c = min(per_step, end - b)
+        leaves = trailing
+        if j < nvars:
+            lead = valuation_digits(np.arange(b, b + c, dtype=np.int64), nvars - j, m)
+            leaves = [col.reshape((c,) + (1,) * j) for col in lead.T] + trailing
+        fails = np.asarray(evaluate(ops, args, leaves, join, meet, imp) != designated)
+        if not fails.any():
+            continue
+        lo = b * inner
+        fails = np.broadcast_to(fails, (c,) + (m,) * j).ravel()
+        bad = np.flatnonzero(fails[max(start - lo, 0):stop - lo])
         if bad.size:
-            return int(lo + bad[0])
+            return int(max(start, lo) + bad[0])
     return -1
 
 

@@ -51,39 +51,39 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imp(Formula):
     left: Formula
     right: Formula
@@ -387,8 +387,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             block = min(count - done, 1 << 15)
             idxs = rng.integers(0, total, size=block, dtype=np.int64)
             vals = kernels.valuation_digits(idxs, k, m)
-            res = kernels.eval_on_valuations(ops, args, vals, a.join, a.meet, a.imp)
-            bad = np.flatnonzero(res != a.bottom)
+            res = kernels.evaluate(ops, args, vals.T, a.join, a.meet, a.imp)
+            bad = np.flatnonzero(np.broadcast_to(res != a.bottom, idxs.shape))
             if bad.size:
                 cand = int(idxs[bad].min())
                 best = cand if best is None else min(best, cand)
@@ -399,12 +399,18 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         value = eval_formula(f, a, cm)
         return ValidityReport(f, a, False, cm, value, count, "sampling")
 
-    workers = max(1, int(workers))
-    if workers == 1 or total < workers * 4:
+    workers = int(workers)
+    if workers > 1:
+        # Each worker scans whole blocks of the kernel, and there are never
+        # more threads than CPUs or blocks.
+        block = kernels.scan_block(k, m)
+        blocks = total // block
+        workers = min(workers, os.cpu_count() or 1, blocks)
+    if workers <= 1:
         first = kernels.first_fail(ops, args, k, m, a.join, a.meet, a.imp,
                                    a.bottom, 0, total)
     else:
-        bounds = [total * w // workers for w in range(workers + 1)]
+        bounds = [block * (blocks * w // workers) for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(kernels.first_fail, ops, args, k, m,
                               a.join, a.meet, a.imp, a.bottom,

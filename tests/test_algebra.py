@@ -290,6 +290,76 @@ def test_factor_by_bottom_is_degenerate():
     assert res.algebra.size == 1
 
 
+def _factor_reference(a, f):
+    """The quotient by the principal filter of f, by brute force: classes of
+    b <= c iff b x d <= c for some d >= f, and join, meet and implication as
+    least upper bound, greatest lower bound and least c with j <= i + c,
+    searched element by element in the quotient order."""
+    m = a.size
+    reach = [[any(a.leq[a.meet[b, d], c] for d in range(m) if a.leq[f, d])
+              for c in range(m)] for b in range(m)]
+    reps, class_of = [], []
+    for x in range(m):
+        k = next((i for i, r in enumerate(reps) if reach[x][r] and reach[r][x]), None)
+        if k is None:
+            k = len(reps)
+            reps.append(x)
+        class_of.append(k)
+    k = len(reps)
+    le = [[reach[r][s] for s in reps] for r in reps]
+
+    def least(cands, below):
+        best = [c for c in cands if all(below(c, x) for x in cands)]
+        if len(best) != 1:
+            raise InputError("no unique bound")
+        return best[0]
+
+    up = lambda c, x: le[c][x]
+    down = lambda c, x: le[x][c]
+    join = [[least([c for c in range(k) if le[i][c] and le[j][c]], up) for j in range(k)]
+            for i in range(k)]
+    meet = [[least([c for c in range(k) if le[c][i] and le[c][j]], down) for j in range(k)]
+            for i in range(k)]
+    imp = [[least([c for c in range(k) if le[j][join[i][c]]], up) for j in range(k)]
+           for i in range(k)]
+    return le, join, meet, imp, class_of, reps
+
+
+def _factor_cases():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            a = from_poset(p)
+            yield from ((a, f) for f in range(a.size))
+    yield from ((bn(3), f) for f in range(bn(3).size))
+
+
+def test_factor_matches_brute_force():
+    """Every factor of the algebras of posets with at most 4 elements and of
+    bn(3): the array-built quotient equals the element-by-element one."""
+    for a, f in _factor_cases():
+        res = factor_by_principal_filter(a, f)
+        le, join, meet, imp, class_of, reps = _factor_reference(a, f)
+        q = res.algebra
+        assert q.leq.tolist() == le
+        assert (q.join.tolist(), q.meet.tolist(), q.imp.tolist()) == (join, meet, imp)
+        assert res.class_of.tolist() == class_of and list(res.representatives) == reps
+        assert (q.bottom, q.top) == (class_of[a.bottom], class_of[a.top])
+
+
+def test_factor_of_a_non_lattice_order_is_refused():
+    """Factoring by the top keeps the order; a bowtie (1, 2 below 3, 4) has
+    no least upper bound of 1 and 2, so the quotient join does not exist."""
+    leq = np.eye(6, dtype=bool)
+    for lo, hi in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        leq[lo, hi] = True
+    leq[0, :] = leq[:, 5] = True
+    meet = np.zeros((6, 6), dtype=np.int32)
+    meet[:, 5] = np.arange(6)  # b x top = b: the classes are the elements
+    a = from_tables(leq, np.zeros((6, 6)), meet, np.zeros((6, 6)), bottom=0, top=5)
+    with pytest.raises(InputError, match="no unique bound"):
+        factor_by_principal_filter(a, 5)
+
+
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 ``logic.eval_formula`` and against the definitions they implement."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import random_poset
 from medlat import kernels
 from medlat.algebra import bn, chain_algebra, from_poset
-from medlat.logic import axiom, compile_formula, eval_formula, parse, variables
+from medlat.logic import AXIOM_TEXT, axiom, compile_formula, eval_formula, parse, variables
 from medlat.poset import chain_poset, open_masks
 
 
@@ -47,6 +48,72 @@ def test_first_fail_backends_agree(case):
         assert got == _first_fail_reference(f, a, start, stop)
 
 
+# (formula, level n of bn(n)) with 0 to 8 variables.  bn(3) with 4
+# variables (19**4 valuations, 4 blocks of 19**3 per step), bn(4) with 3
+# (167**3, one block of 167**2 per step) and bn(2) with 7 (5**7, two blocks of
+# 5**6 per step) have one leading variable, decoded once per block; bn(2)
+# with 8 has two, p and q.
+_SCANS = [
+    ("T", 1), ("F", 2), ("F -> T", 3),
+    ("p | ~p", 3), ("(p -> q) | (q -> p)", 3), ("kp", 3), ("(p -> q) | (q -> r) | ~~p", 2),
+    ("(p -> q) | (r -> s)", 2), ("(p -> q) | (r -> s)", 3),
+    ("(p | ~p) & (q -> q) & (r -> r) & (s -> s)", 3), ("~s | ~~(p & r) | (q -> p)", 3),
+    ("kp", 4), ("~~r -> r | (p -> q)", 4), ("~~r -> r", 4),
+    ("(p -> w) | (r & s & t & u & q -> w)", 2), ("~w | ~~w | (p & q & r & s & t & u)", 2),
+    ("(q -> p) | (r & s & t & u & v & w)", 2),
+]
+
+
+def _ranges(total, block):
+    """The whole space when it is small; else short ranges at its ends and
+    around block edges, some starting or ending inside a block."""
+    if total <= 2000:
+        return [(0, total), (total // 3, 2 * total // 3), (total - 1, total)]
+    edges = [e for e in (block, 2 * block, 5 * block, total - block) if 0 < e < total]
+    return ([(0, 40), (total - 40, total), (total // 2, total // 2 + 1)]
+            + [(e - 20, e + 20) for e in edges] + [(e + 7, e + 8) for e in edges])
+
+
+@pytest.mark.parametrize("text,n", _SCANS)
+def test_first_fail_matches_reference(text, n):
+    """The broadcast scan and the recursive evaluator find the same index,
+    for whole spaces and for ranges that cut blocks."""
+    f = parse(AXIOM_TEXT.get(text, text))
+    a = bn(n)
+    k = len(variables(f))
+    ops, args = compile_formula(f, a, variables(f))
+    total = a.size ** k
+    for start, stop in _ranges(total, kernels.scan_block(k, a.size)):
+        got = kernels.first_fail(ops, args, k, a.size, a.join, a.meet,
+                                 a.imp, a.bottom, start, stop)
+        assert got == _first_fail_reference(f, a, start, stop), (start, stop)
+
+
+def test_scan_block_divides_the_space():
+    assert kernels.scan_block(0, 7) == 1
+    assert kernels.scan_block(3, 19) == 19 ** 3 and kernels.scan_block(4, 19) == 19 ** 3
+    assert kernels.scan_block(3, 167) == 167 ** 2
+    assert kernels.scan_block(16, 2) == kernels._BLOCK
+    assert kernels.scan_block(5, 1) == 1
+
+
+def test_first_fail_memory_stays_within_blocks():
+    """One scan of the 167**3 valuations of kp on bn(4) never holds more than
+    a few arrays of _BLOCK int64 entries; the whole space would be 37 MB."""
+    a = bn(4)
+    f = axiom("kp")
+    ops, args = compile_formula(f, a, variables(f))
+    tracemalloc.start()
+    try:
+        got = kernels.first_fail(ops, args, 3, a.size, a.join, a.meet, a.imp,
+                                 a.bottom, 0, a.size ** 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == -1
+    assert peak < 4 * kernels._BLOCK * 8
+
+
 def test_first_fail_matches_slow_evaluator():
     f = parse("~p | (p -> q)")
     a = bn(2)
@@ -78,16 +145,31 @@ def test_first_fail_spans_blocks():
                               a.bottom, 0, 2 ** 16) == target
 
 
-def test_eval_on_valuations_matches_slow_evaluator():
+def test_evaluate_matches_slow_evaluator():
+    """Sampled valuation columns as the leaves, as the sampling scan passes them."""
     rng = np.random.default_rng(99)
     a = bn(3)
     f = axiom("kp")
     names = variables(f)
     ops, args = compile_formula(f, a, names)
     vals = rng.integers(0, a.size, size=(200, len(names)), dtype=np.int64)
-    got = kernels.eval_on_valuations(ops, args, vals, a.join, a.meet, a.imp)
+    got = kernels.evaluate(ops, args, vals.T, a.join, a.meet, a.imp)
     for row, g in zip(vals, got):
         assert eval_formula(f, a, dict(zip(names, map(int, row)))) == g
+
+
+def test_evaluate_broadcasts_leaves():
+    """A subterm carries the axes of its variables only; constants stay scalars."""
+    a = bn(2)
+    f = parse("(p -> q) | ~p & T")
+    ops, args = compile_formula(f, a, ["p", "q"])
+    leaves = [np.arange(a.size).reshape(-1, 1), np.arange(a.size).reshape(1, -1)]
+    got = kernels.evaluate(ops, args, leaves, a.join, a.meet, a.imp)
+    assert got.shape == (a.size, a.size)
+    for p, q in itertools.product(range(a.size), repeat=2):
+        assert got[p, q] == eval_formula(f, a, {"p": p, "q": q})
+    ops, args = compile_formula(parse("F -> T"), a, [])
+    assert np.ndim(kernels.evaluate(ops, args, [], a.join, a.meet, a.imp)) == 0
 
 
 def test_valuation_digits_decode_indices():

@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from medlat import kernels, logic
 from medlat.algebra import bn, chain_algebra, from_poset, neg
 from medlat.errors import InputError, ResourceLimitError
 from medlat.logic import (
@@ -171,6 +173,95 @@ def test_workers_agree_with_single_scan():
         assert r1.countermodel == r4.countermodel
 
 
+def _clauses(nvars, *targets):
+    """A formula over x00..x{nvars-1} that fails, in the 2-element algebra,
+    exactly at the valuations whose digits are the bits of the targets."""
+    names = [f"x{i:02d}" for i in range(nvars)]
+    return parse(" & ".join(
+        "(" + " | ".join(f"~{v}" if b == "1" else v
+                         for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
+        for t in targets))
+
+
+@pytest.mark.parametrize("f,a", [
+    (_clauses(17, 3 * kernels._BLOCK + 5, 2 * kernels._BLOCK + 9), chain_algebra(2)),
+    (_clauses(17, 3 * kernels._BLOCK + 5), chain_algebra(2)),
+    (parse("~~r -> r | (p -> q)"), bn(4)),
+    (parse("(p -> w) | (r & s & t & u & q -> w)"), bn(2)),
+])
+def test_workers_1_2_3_agree(monkeypatch, f, a):
+    """The least countermodel does not depend on the worker count, also when
+    several workers find one (the 17-variable space has 4 blocks)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    reps = [is_valid(f, a, workers=w) for w in (1, 2, 3)]
+    assert len({(r.valid, r.valuations_checked, str(r.countermodel)) for r in reps}) == 1
+
+
+class _RefusingExecutor:
+    """Stands in for ThreadPoolExecutor: records the thread count it was
+    asked for and fails before any thread exists."""
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+        raise RuntimeError("no threads in this test")
+
+
+def test_worker_threads_are_capped_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(logic, "ThreadPoolExecutor", _RefusingExecutor)
+    _RefusingExecutor.asked.clear()
+    with pytest.raises(RuntimeError, match="no threads"):
+        is_valid(axiom("kp"), bn(4), workers=1_000_000)
+    assert _RefusingExecutor.asked == [2]
+    # a space of one block is scanned without an executor
+    assert is_valid(axiom("kp"), bn(3), workers=1_000_000).valid is True
+
+
+class _InlineExecutor:
+    """Runs each submitted scan at once, in the calling thread, and records
+    its range."""
+    ranges = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        self.ranges.append(args[8:10])
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_worker_ranges_are_whole_blocks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    monkeypatch.setattr(logic, "ThreadPoolExecutor", _InlineExecutor)
+    for f, a in ((axiom("kp"), bn(4)), (parse("p & q & r & s"), bn(3))):
+        k = len(variables(f))
+        block = kernels.scan_block(k, a.size)
+        _InlineExecutor.ranges.clear()
+        rep = is_valid(f, a, workers=7)
+        ranges = _InlineExecutor.ranges
+        assert len(ranges) == min(7, a.size ** k // block) > 1
+        assert ranges[0][0] == 0 and ranges[-1][1] == a.size ** k
+        assert all(lo < hi and lo % block == 0 for lo, hi in ranges)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+        assert rep.valid == is_valid(f, a).valid
+
+
+def test_formula_nodes_have_slots():
+    f = parse("~p & (q | T) -> F")
+    nodes = [f, f.left, f.left.left, f.left.right, f.left.right.right, f.right]
+    assert not any(hasattr(g, "__dict__") for g in nodes)
+
+
 # ---------------------------------------------------------------------------
 # budget and sampling
 # ---------------------------------------------------------------------------
@@ -192,6 +283,22 @@ def test_sampling_finds_countermodel_deterministically():
 def test_sampling_never_claims_validity():
     rep = is_valid(axiom("kp"), bn(3), budget=2000, sample_seed=1)
     assert rep.valid is None and rep.mode == "sampling"
+
+
+@pytest.mark.parametrize("text,n,budget,seed,countermodel,value,checked", [
+    ("(p -> q) | (q -> p)", 3, 2000, 42, {"p": 1, "q": 2}, 16, 285),
+    ("(p -> q) | (r -> s) | ~~(p & s)", 3, 5000, 7, {"p": 1, "q": 2, "r": 16, "s": 14}, 15, 333),
+    ("F & T", 2, 1, 3, {}, 0, 1),
+    ("~p | ~~p", 4, 20, 1, {"p": 85}, 148, 2),
+])
+def test_sampling_answers_are_fixed_by_the_seed(text, n, budget, seed, countermodel,
+                                                value, checked):
+    """Sampled countermodels recorded from the per-valuation interpreter that
+    the broadcast one replaced: the same seed gives the same answer."""
+    rep = is_valid(parse(text), bn(n), budget=budget, sample_seed=seed)
+    assert (rep.valid, rep.mode) == (False, "sampling")
+    assert (rep.countermodel, rep.value_reached, rep.valuations_checked) == (
+        countermodel, value, checked)
 
 
 @pytest.mark.parametrize("budget,seed", [(1000, 1), (10 ** 30, None)])
