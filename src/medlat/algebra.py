@@ -46,10 +46,13 @@ class BrouwerAlgebra:
     provenance: str
     poset: Poset | None = None
     open_masks: np.ndarray | None = None  # uint64 per element, when poset-backed
+    automorphisms: np.ndarray | None = None  # int32 (g, m) element permutations
 
     def __post_init__(self):
         for a in (self.leq, self.join, self.meet, self.imp):
             a.setflags(write=False)
+        if self.automorphisms is not None:
+            self.automorphisms.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -84,17 +87,39 @@ def _index_of_masks(sorted_masks: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return idx.astype(np.int32)
 
 
+def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
+    """The element permutations U |-> sigma(U) of B(p), one row per
+    automorphism sigma of p.  The bits of the masks are permuted with
+    per-byte tables built from the singletons 1 << sigma(i)."""
+    sigma = np.asarray(p.automorphisms)
+    n = p.size
+    if (sigma.ndim != 2 or sigma.shape[1] != n or not np.issubdtype(sigma.dtype, np.integer)
+            or ((sigma < 0) | (sigma >= n)).any()):
+        raise InputError(f"automorphisms of {p.name!r} must be rows of {n} element indices")
+    bad = (p.leq[sigma[:, :, None], sigma[:, None, :]] != p.leq).any(axis=(1, 2))
+    if bad.any():
+        raise InputError(f"row {int(np.flatnonzero(bad)[0])} of the automorphisms "
+                         f"of {p.name!r} does not preserve the order")
+    one = np.uint64(1)
+    images = np.stack([kernels.lut_union(masks, kernels.down_luts(one << s.astype(np.uint64)))
+                       for s in sigma])
+    return _index_of_masks(masks, images)
+
+
 def from_poset(p: Poset) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion.
 
     join = intersection, meet = union, bottom = whole carrier, top = empty
     set, and  U -> V = {a : [a) & U <= V}.  The tables are filled in blocks
-    of about ``_TABLE_BLOCK`` entries, a band of rows at a time.
+    of about ``_TABLE_BLOCK`` entries, a band of rows at a time.  The
+    automorphisms of p, when it carries them, become element permutations
+    of the algebra.
     """
     masks = open_masks(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
+    auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
     luts = kernels.down_luts(p.down_masks)
 
     leq = np.empty((m, m), dtype=bool)
@@ -125,7 +150,7 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
         leq=leq, join=join, meet=meet, imp=imp,
         bottom=m - 1, top=0,
         labels=labels, provenance=f"B({p.name})",
-        poset=p, open_masks=masks,
+        poset=p, open_masks=masks, automorphisms=auts,
     )
 
 
@@ -360,10 +385,7 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     """
     f = a.check_element(f)
     m = a.size
-    filt = np.flatnonzero(a.leq[f, :])
-    reach = np.zeros((m, m), dtype=bool)
-    for d in filt:
-        reach |= a.leq[a.meet[:, d], :]
+    reach = _factor_preorder(a, f)
     same = reach & reach.T
     class_of = np.full(m, -1, dtype=np.int32)
     reps: list[int] = []
@@ -402,6 +424,12 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
                          labels, f"factor({a.provenance},{f})")
     iso = is_isomorphic(alg, interval(a, a.bottom, f)) if k > 1 else None
     return FactorResult(alg, class_of, tuple(reps), k == 1, iso)
+
+
+def _factor_preorder(a: BrouwerAlgebra, f: int) -> np.ndarray:
+    """reach[b, c]: b x d <= c for some d >= f.  Meet is monotone, so
+    d = f is the best witness and one gather decides every pair."""
+    return a.leq[a.meet[:, f], :]
 
 
 def _least(sets: np.ndarray, order: np.ndarray, above: np.ndarray) -> np.ndarray:

@@ -315,12 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # Each subcommand gets only the flags it reads.
+    def budget(sp):
         sp.add_argument("--budget", type=int, default=None,
                         help="evaluation step budget (default: MEDLAT_BUDGET or 1e8)")
+
+    def parallel(sp):
         sp.add_argument("--parallel", type=int, default=1, metavar="K",
                         help="worker threads for valuation scans; at most the CPU count "
-                             "and the scan's blocks are used")
+                             "and the scan's blocks are used.  A worker skips a block "
+                             "by symmetry only when its image lies in its own range")
+
+    def as_json(sp):
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("check", help="decide a formula in one algebra")
@@ -328,32 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--sample", type=int, default=None, metavar="SEED",
                     help="sampling mode seed (required when over budget)")
-    common(sp)
+    budget(sp)
+    parallel(sp)
+    as_json(sp)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("countermodel", help="search small posets for a countermodel")
     sp.add_argument("formula")
     sp.add_argument("--max-size", type=int, default=5, dest="max_size")
     sp.add_argument("--dot", action="store_true")
-    common(sp)
+    budget(sp)
+    as_json(sp)
     sp.set_defaults(fn=cmd_countermodel)
 
     sp = sub.add_parser("report", help="axiom catalogue table for one algebra")
     sp.add_argument("--algebra", required=True)
-    common(sp)
+    budget(sp)
+    parallel(sp)
+    as_json(sp)
     sp.set_defaults(fn=cmd_report)
 
     sp = sub.add_parser("verify", help="batch property suites")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--max-poset", type=int, default=None, dest="max_poset")
-    common(sp)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("enumerate", help="posets or algebras up to isomorphism")
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--posets", type=int, default=None)
     g.add_argument("--algebras", type=int, default=None)
-    common(sp)
+    as_json(sp)
     sp.set_defaults(fn=cmd_enumerate)
 
     sp = sub.add_parser("export", help="dump one algebra as JSON or DOT")

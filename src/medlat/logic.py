@@ -408,13 +408,13 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         workers = min(workers, os.cpu_count() or 1, blocks)
     if workers <= 1:
         first = kernels.first_fail(ops, args, k, m, a.join, a.meet, a.imp,
-                                   a.bottom, 0, total)
+                                   a.bottom, 0, total, a.automorphisms)
     else:
         bounds = [block * (blocks * w // workers) for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(kernels.first_fail, ops, args, k, m,
                               a.join, a.meet, a.imp, a.bottom,
-                              bounds[w], bounds[w + 1])
+                              bounds[w], bounds[w + 1], a.automorphisms)
                     for w in range(workers)]
             found = [r for r in (fu.result() for fu in futs) if r >= 0]
         first = min(found) if found else -1

@@ -74,14 +74,22 @@ def _row_masks(rel: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Poset:
-    """An immutable finite partial order over elements 0..size-1."""
+    """An immutable finite partial order over elements 0..size-1.
+
+    ``automorphisms``, when known, is a (g, size) array whose rows are
+    element permutations that preserve the order; ``from_poset`` lifts them
+    to the algebra.
+    """
 
     leq: np.ndarray
     labels: tuple[str, ...]
     name: str = "poset"
+    automorphisms: np.ndarray | None = None
 
     def __post_init__(self):
         self.leq.setflags(write=False)
+        if self.automorphisms is not None:
+            self.automorphisms.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -200,7 +208,8 @@ def open_sets(p: Poset) -> list[UpSet]:
 
 
 def powerset_poset(n: int) -> Poset:
-    """Nonempty subsets of {0..n-1} ordered by reverse inclusion (full set is minimum)."""
+    """Nonempty subsets of {0..n-1} ordered by reverse inclusion (full set is
+    minimum), with the n! automorphisms induced by permuting {0..n-1}."""
     if n < 1:
         raise InputError("powerset_poset needs n >= 1")
     size = (1 << min(n, MAX_POSET_SIZE)) - 1  # min: a huge n builds no huge int
@@ -211,7 +220,10 @@ def powerset_poset(n: int) -> Poset:
         for j, t in enumerate(sets):
             leq[i, j] = (s | t) == s  # s >= t as sets
     labels = tuple("{" + ",".join(str(b) for b in range(n) if s >> b & 1) + "}" for s in sets)
-    return Poset(leq, labels, f"2^{n}-{{}}")
+    bits = (np.array(sets)[:, None] >> np.arange(n)) & 1           # [i, b]: b in set i
+    perms = np.array(list(itertools.permutations(range(n))))       # identity first
+    images = (bits[None, :, :] << perms[:, None, :]).sum(axis=2)   # [g, i]: set of g(i)
+    return Poset(leq, labels, f"2^{n}-{{}}", (images - 1).astype(np.int32))
 
 
 def down_sets_masks(p: Poset) -> list[int]:

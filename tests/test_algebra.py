@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_poset
 from medlat.algebra import (
+    AlgebraMap,
     algebra_to_dict,
     algebra_to_dot,
     algebra_to_json,
@@ -32,9 +34,17 @@ from medlat.algebra import (
     plus_a_map,
     validate,
 )
+from medlat.algebra import _factor_preorder
 from medlat.errors import InputError, ResourceLimitError
 from medlat.freedist import free_algebra
-from medlat.poset import antichain_poset, chain_poset, enumerate_posets
+from medlat.poset import (
+    Poset,
+    antichain_poset,
+    chain_poset,
+    enumerate_posets,
+    load_poset,
+    powerset_poset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,28 @@ def test_factor_matches_brute_force():
         assert (q.bottom, q.top) == (class_of[a.bottom], class_of[a.top])
 
 
+def _factor_preorder_loop(a, f):
+    """The quotient preorder by its definition: b x d <= c for some d >= f,
+    one m x m gather per element d of the filter."""
+    reach = np.zeros((a.size, a.size), dtype=bool)
+    for d in np.flatnonzero(a.leq[f, :]):
+        reach |= a.leq[a.meet[:, d], :]
+    return reach
+
+
+def test_factor_preorder_is_one_gather():
+    """Meet is monotone, so the witness d = f decides every pair: the one
+    gather equals the loop over the filter on every element of bn(1..3),
+    every 7th element of bn(4) and every element of the algebras of the
+    posets with at most 4 elements."""
+    cases = [(bn(n), f) for n in (1, 2, 3) for f in range(bn(n).size)]
+    cases += [(bn(4), f) for f in range(0, bn(4).size, 7)]
+    algebras = [from_poset(p) for n in range(1, 5) for p in enumerate_posets(n)]
+    cases += [(a, f) for a in algebras for f in range(a.size)]
+    for a, f in cases:
+        assert (_factor_preorder(a, f) == _factor_preorder_loop(a, f)).all(), (a, f)
+
+
 def test_factor_of_a_non_lattice_order_is_refused():
     """Factoring by the top keeps the order; a bowtie (1, 2 below 3, 4) has
     no least upper bound of 1 and 2, so the quotient join does not exist."""
@@ -358,6 +390,54 @@ def test_factor_of_a_non_lattice_order_is_refused():
     a = from_tables(leq, np.zeros((6, 6)), meet, np.zeros((6, 6)), bottom=0, top=5)
     with pytest.raises(InputError, match="no unique bound"):
         factor_by_principal_filter(a, 5)
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+# ---------------------------------------------------------------------------
+
+def test_bn_automorphisms_are_bijective_homomorphisms():
+    """bn(n) carries the n! permutations of {0..n-1}, lifted to its elements;
+    each is a bijective B-homomorphism, and the first is the identity."""
+    for n in (1, 2, 3, 4):
+        a = bn(n)
+        auts = a.automorphisms
+        assert auts.shape == (math.factorial(n), a.size) and auts.dtype == np.int32
+        assert not auts.flags.writeable
+        assert auts[0].tolist() == list(range(a.size))
+        assert len({tuple(g) for g in auts.tolist()}) == len(auts)
+        for g in auts:
+            f = AlgebraMap(a, a, g.copy())
+            assert f.is_bijective() and is_b_homomorphism(f) == (True, None)
+
+
+def test_powerset_automorphisms_permute_the_points():
+    """Element i of powerset_poset(n) is the set with bitmask i + 1; the
+    permutation of the points that swaps 0 and 1 maps {0} to {1}."""
+    p = powerset_poset(3)
+    swap = p.automorphisms[2]  # permutations in lexicographic order: (1, 0, 2)
+    assert p.labels[swap[0]] == "{1}" and p.labels[swap[2]] == "{0,1}"
+    assert (p.leq[np.ix_(swap, swap)] == p.leq).all()
+
+
+def test_a_non_automorphism_is_refused(fork):
+    """Swapping the root of the fork with a leaf does not preserve the order."""
+    auts = np.array([[0, 1, 2], [0, 2, 1]], dtype=np.int32)
+    a = from_poset(Poset(fork.leq, fork.labels, "fork", auts))
+    assert a.automorphisms.shape == (2, a.size)
+    for bad in ([[1, 0, 2]], [[0, 1, 1]], [[0, 1, 3]], [[0, 1]], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(InputError):
+            from_poset(Poset(fork.leq, fork.labels, "fork", np.array(bad)))
+
+
+def test_only_powerset_algebras_carry_automorphisms(tmp_path):
+    path = tmp_path / "vee.json"
+    path.write_text(json.dumps({"name": "vee", "elements": ["r", "a", "b"],
+                                "le": [[0, 1], [0, 2]]}))
+    others = [chain_algebra(3), from_poset(enumerate_posets(3)[0]),
+              from_poset(load_poset(str(path))), free_algebra(2)[0],
+              factor_by_principal_filter(bn(3), 5).algebra, interval(bn(3), 3, 0)]
+    assert all(a.automorphisms is None for a in others)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,37 @@ def test_verify_suites(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("countermodel", "p", "--parallel", "2"),
+    ("verify", "iso", "--parallel", "2"),
+    ("enumerate", "--posets", "2", "--parallel", "2"),
+    ("verify", "iso", "--budget", "10"),
+    ("enumerate", "--posets", "2", "--budget", "10"),
+    ("verify", "iso", "--json"),
+])
+def test_flags_a_subcommand_ignores_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_in_use_still_work(capsys):
+    rc, out, _ = run(capsys, "countermodel", "p | ~p", "--max-size", "2",
+                     "--budget", "1000", "--json")
+    assert rc == 0 and json.loads(out)["found"] is True
+    rc, _, err = run(capsys, "countermodel", "p | ~p", "--budget", "1")
+    assert rc == 2 and "budget" in err
+    rc, out, _ = run(capsys, "report", "--algebra", "bn:2", "--budget", "1000",
+                     "--parallel", "2", "--json")
+    assert rc == 0 and len(json.loads(out)["axioms"]) == 6
+    rc, out, _ = run(capsys, "check", "p | ~p", "--algebra", "bn:2", "--budget", "100",
+                     "--parallel", "2", "--json")
+    assert rc == 1 and json.loads(out)["valid"] is False
+    rc, out, _ = run(capsys, "enumerate", "--algebras", "2", "--json")
+    assert rc == 0 and len(json.loads(out)) == 2
+
+
 # ---------------------------------------------------------------------------
 # resource limits
 # ---------------------------------------------------------------------------

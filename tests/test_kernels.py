@@ -6,11 +6,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poset
 from medlat import kernels
 from medlat.algebra import bn, chain_algebra, from_poset
-from medlat.logic import AXIOM_TEXT, axiom, compile_formula, eval_formula, parse, variables
+from medlat.logic import (
+    AXIOM_TEXT,
+    And,
+    Bot,
+    Imp,
+    Not,
+    Or,
+    Top,
+    Var,
+    axiom,
+    compile_formula,
+    eval_formula,
+    parse,
+    variables,
+)
 from medlat.poset import chain_poset, open_masks
 
 
@@ -241,3 +257,103 @@ def test_no_fail_returns_minus_one():
     ops, args = compile_formula(f, a, ["p"])
     assert kernels.first_fail(ops, args, 1, a.size, a.join, a.meet, a.imp,
                               a.bottom, 0, a.size) == -1
+
+
+# ---------------------------------------------------------------------------
+# symmetry-reduced scan and hoisting
+# ---------------------------------------------------------------------------
+
+_formulas_1_to_4 = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("r"), Var("s"), Top(), Bot()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+    ),
+    max_leaves=12,
+).filter(lambda f: variables(f))
+
+# Scan block sizes: the default, and small ones that give bn(2) and bn(3)
+# leading variables and steps of one or several blocks.
+_BLOCK_SIZES = (kernels._BLOCK, 5, 19, 25, 40, 50, 100, 400)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_formulas_1_to_4, n=st.sampled_from([2, 3]),
+       block=st.sampled_from(_BLOCK_SIZES), data=st.data())
+def test_first_fail_skip_matches_full_scan(f, n, block, data):
+    """Skipping blocks whose image under an automorphism was scanned
+    earlier finds the same index as scanning every block, on whole spaces
+    and on ranges that start or end inside a block."""
+    a = bn(n)
+    names = variables(f)
+    k = len(names)
+    total = a.size ** k
+    ops, args = compile_formula(f, a, names)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", block)
+        if total // kernels.scan_block(k, a.size) > 400:
+            mp.setattr(kernels, "_BLOCK", 1 << 15)  # keep each example short
+        start = data.draw(st.integers(0, total - 1), label="start")
+        stop = data.draw(st.one_of(st.just(total), st.integers(start + 1, total)), label="stop")
+
+        def scan(auts):
+            return kernels.first_fail(ops, args, k, a.size, a.join, a.meet, a.imp,
+                                      a.bottom, start, stop, auts)
+
+        got = scan(a.automorphisms)
+        assert got == scan(None)
+    if total <= 2000:
+        assert got == _first_fail_reference(f, a, start, stop)
+
+
+def _count_blocks(monkeypatch):
+    """Patch the interpreter to count the blocks the scan evaluates: the
+    rows of the first leading leaf (a scan-wide subterm has none)."""
+    rows = []
+    run = kernels._run
+
+    def counting(prog, leaves, tables, m):
+        if leaves and leaves[0] is not None:
+            rows.append(np.shape(leaves[0])[0])
+        return run(prog, leaves, tables, m)
+
+    monkeypatch.setattr(kernels, "_run", counting)
+    return rows
+
+
+def test_kp_scan_on_bn4_evaluates_one_block_per_orbit(monkeypatch):
+    """S_4 leaves 29 orbits of the 167 values of the leading variable, so a
+    full kp scan on bn(4) evaluates 29 blocks instead of 167."""
+    a = bn(4)
+    f = axiom("kp")
+    ops, args = compile_formula(f, a, variables(f))
+    rows = _count_blocks(monkeypatch)
+    for auts, blocks in ((None, 167), (a.automorphisms, 29)):
+        rows.clear()
+        assert kernels.first_fail(ops, args, 3, a.size, a.join, a.meet, a.imp,
+                                  a.bottom, 0, a.size ** 3, auts) == -1
+        assert sum(rows) == blocks
+
+
+def test_hoist_evaluates_block_invariant_subterms_once():
+    """In kp with p leading, q | r is the only subterm with an operator and
+    no p; the split program reads it as variable 3 and has the same value."""
+    a = bn(2)
+    f = axiom("kp")
+    ops, args = compile_formula(f, a, ["p", "q", "r"])
+    prog, hoisted = kernels._hoist(kernels._program(ops, args), 1, 3)
+    qr = compile_formula(parse("q | r"), a, ["p", "q", "r"])
+    assert hoisted == [kernels._program(*qr)]
+    assert len(prog[0]) == len(ops) - 2
+    tables = (None, None, a.join.ravel(), a.meet.ravel(), a.imp.ravel())
+    leaves = [np.arange(a.size).reshape(-1, 1, 1), np.arange(a.size).reshape(1, -1, 1),
+              np.arange(a.size).reshape(1, 1, -1)]
+    inv = kernels._run(hoisted[0], leaves, tables, a.size)
+    assert (kernels._run(prog, leaves + [inv], tables, a.size)
+            == kernels.evaluate(ops, args, leaves, a.join, a.meet, a.imp)).all()
+    # an operand on the left is hoisted too, and a lone variable is not
+    ops, args = compile_formula(parse("(q & r) -> p | r"), a, ["p", "q", "r"])
+    qr = compile_formula(parse("q & r"), a, ["p", "q", "r"])
+    assert kernels._hoist(kernels._program(ops, args), 1, 3)[1] == [kernels._program(*qr)]
