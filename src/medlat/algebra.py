@@ -10,6 +10,7 @@ every query downstream of construction is a table lookup.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -32,6 +33,18 @@ MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
 _TABLE_BLOCK = 1 << 20      # table entries from_poset computes at a time
 VALIDATE_CAP = 320
 BN_CAP = 5
+DEFAULT_BUDGET = 100_000_000
+
+
+def evaluation_budget() -> int:
+    """The one work limit, in steps: MEDLAT_BUDGET, else DEFAULT_BUDGET."""
+    raw = os.environ.get("MEDLAT_BUDGET", "")
+    if raw:
+        try:
+            return int(float(raw))
+        except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
+            raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
+    return DEFAULT_BUDGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,6 +410,12 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
         class_of[members] = k
         reps.append(x)
     k = len(reps)
+    steps = 3 * k ** 3  # three tables of k * k entries, each a _least over k columns
+    budget = evaluation_budget()
+    if steps > budget:
+        raise ResourceLimitError(
+            f"factor of {a.provenance} by {f} has {k} classes; its tables need "
+            f"~{steps} steps > budget {budget}")
     leq_q = reach[np.ix_(reps, reps)]
     geq_q = np.ascontiguousarray(leq_q.T)
     join_q = np.empty((k, k), dtype=np.int32)

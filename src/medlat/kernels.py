@@ -35,8 +35,8 @@ The scan skips block t when some g(t) is an earlier block that lies wholly
 inside [start, stop).  The same call scans that block (or, if it was
 skipped too, an earlier block of its orbit) before t or in the same step,
 so a failure in t would follow an earlier one and the least failing index
-is unchanged.  A range split over workers only skips blocks whose image
-lies in its own range.
+is unchanged.  So a scan of a sub-range of the space skips only blocks
+whose image lies inside that range.
 
 ``imp_masks`` computes one block of the implication of an up-set algebra on
 bitmasks, ``U -> V = P \\ down(U \\ V)``.  The down-closure is a union of

@@ -21,23 +21,13 @@ from .algebra import (
     all_negations_meet_irreducible,
     bn,
     close_under,
+    evaluation_budget,
     from_poset,
 )
 from .errors import InputError, ResourceLimitError
 from .poset import ENUMERATION_CAP, Poset, enumerate_posets
 
-DEFAULT_BUDGET = 100_000_000
 MAX_FORMULA_DEPTH = 64
-
-
-def evaluation_budget() -> int:
-    raw = os.environ.get("MEDLAT_BUDGET", "")
-    if raw:
-        try:
-            return int(float(raw))
-        except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
-            raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
-    return DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +337,6 @@ class ValidityReport:
         }
 
 
-def _decode_valuation(idx: int, m: int, var_order: list[str]) -> dict[str, int]:
-    out = {}
-    for v in reversed(var_order):
-        out[v] = idx % m
-        idx //= m
-    return out
-
-
 def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
              sample_seed: int | None = None, workers: int = 1) -> ValidityReport:
     """Exhaustive scan of all |carrier|^|vars| valuations, in canonical
@@ -395,9 +377,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             done += block
         if best is None:
             return ValidityReport(f, a, None, None, None, count, "sampling")
-        cm = _decode_valuation(best, m, var_order)
-        value = eval_formula(f, a, cm)
-        return ValidityReport(f, a, False, cm, value, count, "sampling")
+        return _refuted(f, a, var_order, best, count, "sampling")
 
     workers = int(workers)
     if workers > 1:
@@ -420,9 +400,15 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         first = min(found) if found else -1
     if first < 0:
         return ValidityReport(f, a, True, None, None, total, "exhaustive")
-    cm = _decode_valuation(first, m, var_order)
-    value = eval_formula(f, a, cm)
-    return ValidityReport(f, a, False, cm, value, first + 1, "exhaustive")
+    return _refuted(f, a, var_order, first, first + 1, "exhaustive")
+
+
+def _refuted(f, a, var_order, idx, checked, mode) -> ValidityReport:
+    """The report of a countermodel: valuation index idx, decoded as the scan
+    numbers valuations."""
+    digits = kernels.valuation_digits(np.array([idx], dtype=np.int64), len(var_order), a.size)
+    cm = dict(zip(var_order, digits[0].tolist()))
+    return ValidityReport(f, a, False, cm, eval_formula(f, a, cm), checked, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +448,7 @@ class LevelReport:
         }
 
 
-def lm_member(f: Formula, max_level: int, budget: int | None = None,
-              workers: int = 1) -> LevelReport:
+def lm_member(f: Formula, max_level: int, budget: int | None = None) -> LevelReport:
     """Validity of f in bn(1)..bn(max_level); membership up to that level."""
     if max_level < 1:
         raise InputError("level must be >= 1")
@@ -474,7 +459,7 @@ def lm_member(f: Formula, max_level: int, budget: int | None = None,
     rows = []
     ok = True
     for n in range(1, max_level + 1):
-        rep = is_valid(f, bn(n), budget=budget, workers=workers)
+        rep = is_valid(f, bn(n), budget=budget)
         rows.append((n, rep))
         ok &= bool(rep.valid)
     return LevelReport(tuple(rows), ok)

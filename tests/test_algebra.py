@@ -392,6 +392,24 @@ def test_factor_of_a_non_lattice_order_is_refused():
         factor_by_principal_filter(a, 5)
 
 
+def _no_least(*args):
+    raise AssertionError("_least ran")
+
+
+def test_factor_over_budget_is_refused_before_its_tables(monkeypatch):
+    """Factoring by the top leaves k = |a| classes, and the three tables cost
+    3 k**3 steps of the evaluation budget: one step over it, the factor is
+    refused before _least runs; at the budget it is built."""
+    with monkeypatch.context() as mp:
+        mp.setattr("medlat.algebra._least", _no_least)
+        for a in (bn(3), bn(4)):
+            mp.setenv("MEDLAT_BUDGET", str(3 * a.size ** 3 - 1))
+            with pytest.raises(ResourceLimitError, match=f"{a.size} classes"):
+                factor_by_principal_filter(a, a.top)
+    monkeypatch.setenv("MEDLAT_BUDGET", str(3 * 19 ** 3))
+    assert factor_by_principal_filter(bn(3), bn(3).top).algebra.size == 19
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------

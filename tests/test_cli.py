@@ -116,6 +116,14 @@ def test_unrepresentable_numbers_exit_2(capsys, monkeypatch, argv, budget_env):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_factor_over_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MEDLAT_BUDGET", "1e6")  # factor:bn:4,<top> needs 3 * 167**3 steps
+    top = bn(4).top
+    rc, out, err = run(capsys, "check", "p | ~p", "--algebra", f"factor:bn:4,{top}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "167 classes" in err
+
+
 def test_check_sampling_mode(capsys):
     rc, out, _ = run(capsys, "check", "p | ~p", "--algebra", "bn:3",
                      "--budget", "50", "--sample", "7", "--json")

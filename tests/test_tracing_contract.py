@@ -3,7 +3,9 @@
 The tracer patches the functions listed in its TARGETS and reads the
 ``start`` and ``stop`` arguments of ``kernels.first_fail`` by position, so
 renaming a function or reordering those parameters would make a traced
-benchmark run fail or count the wrong valuations.
+benchmark run fail or count the wrong valuations.  The workloads in
+perfbench/workloads.py also pass keywords to the library, and those must
+keep being accepted.
 """
 
 import importlib
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from medlat import kernels
+from medlat.algebra import bn
+from medlat.logic import is_valid, parse
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -39,3 +43,9 @@ def test_first_fail_counter_reads_start_and_stop(tracing):
     args = [None] * 8 + [10, 50]
     assert tracing.COUNTERS["kernels.first_fail"](args, 14) == 5
     assert tracing.COUNTERS["kernels.first_fail"](args, -1) == 40
+
+
+def test_is_valid_takes_the_harness_keywords():
+    """perfbench/workloads.py calls ``is_valid(formula, algebra, workers=1)``."""
+    rep = is_valid(parse("p | ~p"), bn(2), workers=1)
+    assert (rep.valid, rep.countermodel, rep.mode) == (False, {"p": 1}, "exhaustive")
