@@ -3,7 +3,6 @@
 from .errors import InputError, MedlatError, ResourceLimitError
 from .poset import (
     Poset,
-    UpSet,
     chain_poset,
     enumerate_posets,
     load_poset,

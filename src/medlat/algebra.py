@@ -20,13 +20,11 @@ from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import (
     Poset,
-    UpSet,
     check_partial_order,
     chain_poset,
     cover_matrix,
-    open_masks,
+    open_sets,
     powerset_poset,
-    up_closure,
 )
 
 MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
@@ -128,7 +126,7 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
     automorphisms of p, when it carries them, become element permutations
     of the algebra.
     """
-    masks = open_masks(p)
+    masks = open_sets(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
@@ -335,25 +333,15 @@ def meet_irreducible_decomposition(a: BrouwerAlgebra, x: int) -> list[int]:
     return sorted(minimal)
 
 
-def open_antichain_representation(a: BrouwerAlgebra, u: int | UpSet) -> list[int]:
-    """Antichain of minimal poset elements generating the open u (poset-backed algebras)."""
+def open_antichain_representation(a: BrouwerAlgebra, x: int) -> list[int]:
+    """The minimal poset elements of the up-set of element x, the antichain
+    whose up-closure it is (poset-backed algebras): the members i whose
+    down-set meets the up-set in i alone."""
     if a.poset is None or a.open_masks is None:
         raise InputError("algebra has no poset provenance")
-    p = a.poset
-    if isinstance(u, UpSet):
-        mask = u.mask
-        if mask not in set(int(x) for x in a.open_masks):
-            raise InputError("subset is not an open set of the underlying poset")
-    else:
-        mask = int(a.open_masks[a.check_element(u)])
-    members = [i for i in range(p.size) if mask >> i & 1]
-    mem = set(members)
-    minimal = [i for i in members
-               if not any(j != i and p.leq[j, i] for j in mem)]
-    rebuilt = up_closure(p, minimal).mask
-    if rebuilt != mask:
-        raise InputError("subset is not up-closed")
-    return sorted(minimal)
+    mask = a.open_masks[a.check_element(x)]
+    bits = np.uint64(1) << np.arange(a.poset.size, dtype=np.uint64)
+    return np.flatnonzero((a.poset.down_masks & mask) == bits).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +378,14 @@ class FactorResult:
     iso_to_initial_segment: "AlgebraMap | None"
 
 
-def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
+def factor_by_principal_filter(a: BrouwerAlgebra, f: int,
+                                budget: int | None = None) -> FactorResult:
     """Quotient by the principal filter of f:  b <= c in the factor iff
     b x d <= c for some d >= f.  The quotient operations are rebuilt from
-    the quotient order (not transported), so the isomorphism with the
-    initial segment [0, f] is found by search, as an independent check.
+    the quotient order (not transported), so the map [b] |-> b x f onto the
+    initial segment [0, f] is checked, as an independent test, to be a
+    bijective B-homomorphism.  The tables cost 3 k**3 steps for k classes,
+    refused above budget (None: ``evaluation_budget()``).
     """
     f = a.check_element(f)
     m = a.size
@@ -411,7 +402,8 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
         reps.append(x)
     k = len(reps)
     steps = 3 * k ** 3  # three tables of k * k entries, each a _least over k columns
-    budget = evaluation_budget()
+    if budget is None:
+        budget = evaluation_budget()
     if steps > budget:
         raise ResourceLimitError(
             f"factor of {a.provenance} by {f} has {k} classes; its tables need "
@@ -441,8 +433,21 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
     alg = BrouwerAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
                          labels, f"factor({a.provenance},{f})")
-    iso = is_isomorphic(alg, interval(a, a.bottom, f)) if k > 1 else None
+    iso = _factor_map(a, f, alg, reps) if k > 1 else None
     return FactorResult(alg, class_of, tuple(reps), k == 1, iso)
+
+
+def _factor_map(a: BrouwerAlgebra, f: int, factor: BrouwerAlgebra,
+                reps: list[int]) -> AlgebraMap | None:
+    """[b] |-> b x f onto [0, f], when it is a bijective B-homomorphism
+    (b and c are in one class iff b x f = c x f), else None."""
+    segment = interval(a, a.bottom, f)
+    pos = np.full(a.size, -1, dtype=np.int32)
+    pos[a.leq[a.bottom] & a.leq[:, f]] = np.arange(segment.size, dtype=np.int32)
+    image = pos[a.meet[reps, f]]
+    iso = AlgebraMap(factor, segment, image)
+    ok = (image >= 0).all() and iso.is_bijective() and is_b_homomorphism(iso)[0]
+    return iso if ok else None
 
 
 def _factor_preorder(a: BrouwerAlgebra, f: int) -> np.ndarray:
@@ -539,8 +544,7 @@ def plus_a_map(a: BrouwerAlgebra, shift: int, c: int) -> PlusMapResult:
 # isomorphism search
 # ---------------------------------------------------------------------------
 
-def _ji_fingerprints(a: BrouwerAlgebra, ji: list[int]):
-    sub = {x: i for i, x in enumerate(ji)}
+def _ji_fingerprints(a: BrouwerAlgebra, ji: list[int]) -> list[tuple]:
     fp = []
     for x in ji:
         below = sum(1 for y in ji if a.leq[y, x])
@@ -548,7 +552,7 @@ def _ji_fingerprints(a: BrouwerAlgebra, ji: list[int]):
         deg_below = int(a.leq[:, x].sum())
         deg_above = int(a.leq[x, :].sum())
         fp.append((below, above, deg_below, deg_above))
-    return fp, sub
+    return fp
 
 
 def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
@@ -563,8 +567,8 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
     ji2 = [x for x in range(a2.size) if x != a2.bottom and join_irreducible(a2, x)]
     if len(ji1) != len(ji2):
         return None
-    fp1, _ = _ji_fingerprints(a1, ji1)
-    fp2, _ = _ji_fingerprints(a2, ji2)
+    fp1 = _ji_fingerprints(a1, ji1)
+    fp2 = _ji_fingerprints(a2, ji2)
     if sorted(fp1) != sorted(fp2):
         return None
     n = len(ji1)
@@ -698,8 +702,7 @@ def cover_relation(a: BrouwerAlgebra) -> np.ndarray:
 
 def algebra_to_dot(a: BrouwerAlgebra) -> str:
     """Hasse diagram; meet-irreducible elements are drawn as boxes."""
-    meets, _ = irreducibles(a)
-    mset = set(meets)
+    mset = {x for x in range(a.size) if meet_irreducible(a, x)}
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i in range(a.size):
         shape = "box" if i in mset else "ellipse"

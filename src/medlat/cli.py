@@ -42,16 +42,17 @@ def resolve_element(a: alg.BrouwerAlgebra, token: str) -> int:
     raise InputError(f"label {token!r} is ambiguous in {a.provenance}")
 
 
-def resolve_algebra(spec: str) -> alg.BrouwerAlgebra:
+def resolve_algebra(spec: str, budget: int | None = None) -> alg.BrouwerAlgebra:
     """The algebra a selector names; a malformed selector or an unreadable
-    poset file is an InputError."""
+    poset file is an InputError.  Factors are refused above the step
+    budget (None: ``MEDLAT_BUDGET`` or the default)."""
     try:
-        return _resolve(spec)
+        return _resolve(spec, budget)
     except (ValueError, OSError) as e:  # ValueError includes JSONDecodeError
         raise InputError(f"bad algebra spec {spec!r}: {e}") from e
 
 
-def _resolve(spec: str) -> alg.BrouwerAlgebra:
+def _resolve(spec: str, budget: int | None) -> alg.BrouwerAlgebra:
     spec = spec.strip()
     if ":" not in spec:
         raise InputError(f"bad algebra spec {spec!r}")
@@ -66,14 +67,14 @@ def _resolve(spec: str) -> alg.BrouwerAlgebra:
         return alg.from_poset(ps.load_poset(rest))
     if kind == "interval":
         inner, a_tok, b_tok = rest.rsplit(",", 2)
-        base = _resolve(inner)
+        base = _resolve(inner, budget)
         return alg.interval(base, resolve_element(base, a_tok),
                             resolve_element(base, b_tok))
     if kind == "factor":
         inner, a_tok = rest.rsplit(",", 1)
-        base = _resolve(inner)
+        base = _resolve(inner, budget)
         return alg.factor_by_principal_filter(
-            base, resolve_element(base, a_tok)).algebra
+            base, resolve_element(base, a_tok), budget).algebra
     raise InputError(f"unknown algebra kind {kind!r} in spec {spec!r}")
 
 
@@ -91,7 +92,7 @@ def _print_report(rep: lg.ValidityReport, as_json: bool):
 
 
 def cmd_check(args) -> int:
-    a = resolve_algebra(args.algebra)
+    a = resolve_algebra(args.algebra, args.budget)
     f = lg.parse(args.formula)
     rep = lg.is_valid(f, a, budget=args.budget, sample_seed=args.sample,
                       workers=args.parallel)
@@ -134,7 +135,7 @@ def cmd_countermodel(args) -> int:
 
 
 def cmd_report(args) -> int:
-    a = resolve_algebra(args.algebra)
+    a = resolve_algebra(args.algebra, args.budget)
     rows = []
     for name in sorted(lg.AXIOM_TEXT):
         try:

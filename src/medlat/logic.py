@@ -600,10 +600,11 @@ class KpClassReport:
 
 def kp_class_check(max_size: int, budget: int | None = None) -> KpClassReport:
     """Partition all algebras of posets up to max_size elements by the
-    every-negation-meet-irreducible predicate; KP must hold on the whole
-    positive class.  Its status on the negative class is only reported."""
-    if max_size > 6:
-        raise ResourceLimitError("poset size cap for the class check is 6")
+    every-negation-meet-irreducible predicate and report where KP fails on
+    the positive class.  It fails nowhere up to size 6, and on one algebra
+    of size-7 posets, B(P7.1924).  KP on the negative class is only reported."""
+    if max_size > ENUMERATION_CAP:
+        raise ResourceLimitError(f"poset size cap is {ENUMERATION_CAP}")
     kp = axiom("kp")
     pos, negl, fails, nkv, nki = [], [], [], [], []
     for n in range(1, max_size + 1):

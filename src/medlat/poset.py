@@ -1,10 +1,9 @@
 """Finite posets, up-sets, antichain analytics and enumeration up to isomorphism.
 
 Elements are dense integer indices 0..n-1; the order is a full boolean
-matrix, so every comparability query is O(1).  Up-sets are stored both as
-boolean membership vectors and as integer bitmasks (bit i = element i),
-which keeps set algebra on open sets cheap and bounds a carrier at
-``MAX_POSET_SIZE`` elements.
+matrix, so every comparability query is O(1).  An up-set is a uint64
+bitmask (bit i = element i), which keeps set algebra on open sets cheap and
+bounds a carrier at ``MAX_POSET_SIZE`` elements.
 """
 
 from __future__ import annotations
@@ -120,27 +119,6 @@ class Poset:
         return f"Poset({self.name!r}, size={self.size})"
 
 
-@dataclass(frozen=True, eq=False)
-class UpSet:
-    """An upward-closed subset of a poset, as a boolean membership vector."""
-
-    poset: Poset
-    members: np.ndarray
-
-    def __post_init__(self):
-        self.members.setflags(write=False)
-
-    @property
-    def mask(self) -> int:
-        return int(sum(1 << i for i in np.flatnonzero(self.members)))
-
-    def indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.members)]
-
-    def __repr__(self):
-        return f"UpSet({self.indices()})"
-
-
 def make_poset(leq, labels=None, name: str = "poset") -> Poset:
     m = _as_bool_matrix(leq)
     check_partial_order(m)
@@ -167,18 +145,19 @@ def antichain_poset(n: int) -> Poset:
     return Poset(np.eye(n, dtype=bool), tuple(str(i) for i in range(n)), f"antichain{n}")
 
 
-def up_closure(p: Poset, seed) -> UpSet:
-    """Least up-closed superset of seed (empty seed gives the empty up-set)."""
-    members = np.zeros(p.size, dtype=bool)
+def up_closure(p: Poset, seed) -> int:
+    """Bitmask of the least up-closed superset of seed (empty seed gives 0)."""
+    up = p.up_masks
+    mask = 0
     for i in seed:
         i = int(i)
         if not 0 <= i < p.size:
             raise InputError(f"element index {i} out of range for poset of size {p.size}")
-        members |= p.leq[i]
-    return UpSet(p, members)
+        mask |= int(up[i])
+    return mask
 
 
-def open_masks(p: Poset) -> np.ndarray:
+def open_sets(p: Poset) -> np.ndarray:
     """Bitmasks of all up-closed subsets of p, ascending, as uint64.
 
     Elements are added top-down, in order of the size of their up-set, so
@@ -200,13 +179,6 @@ def open_masks(p: Poset) -> np.ndarray:
     return masks
 
 
-def open_sets(p: Poset) -> list[UpSet]:
-    """All up-closed subsets of p, in ascending bitmask order."""
-    bits = np.uint64(1) << np.arange(p.size, dtype=np.uint64)
-    members = (open_masks(p)[:, None] & bits[None, :]) != 0
-    return [UpSet(p, row) for row in members]
-
-
 def powerset_poset(n: int) -> Poset:
     """Nonempty subsets of {0..n-1} ordered by reverse inclusion (full set is
     minimum), with the n! automorphisms induced by permuting {0..n-1}."""
@@ -214,22 +186,14 @@ def powerset_poset(n: int) -> Poset:
         raise InputError("powerset_poset needs n >= 1")
     size = (1 << min(n, MAX_POSET_SIZE)) - 1  # min: a huge n builds no huge int
     _check_poset_size(size)
-    sets = [m + 1 for m in range(size)]  # element i corresponds to bitmask i+1
-    leq = np.zeros((size, size), dtype=bool)
-    for i, s in enumerate(sets):
-        for j, t in enumerate(sets):
-            leq[i, j] = (s | t) == s  # s >= t as sets
-    labels = tuple("{" + ",".join(str(b) for b in range(n) if s >> b & 1) + "}" for s in sets)
-    bits = (np.array(sets)[:, None] >> np.arange(n)) & 1           # [i, b]: b in set i
+    sets = np.arange(1, size + 1)  # element i corresponds to bitmask i+1
+    leq = (sets[:, None] | sets[None, :]) == sets[:, None]  # [i, j]: set i >= set j
+    labels = tuple("{" + ",".join(str(b) for b in range(n) if s >> b & 1) + "}"
+                   for s in sets.tolist())
+    bits = (sets[:, None] >> np.arange(n)) & 1                     # [i, b]: b in set i
     perms = np.array(list(itertools.permutations(range(n))))       # identity first
     images = (bits[None, :, :] << perms[:, None, :]).sum(axis=2)   # [g, i]: set of g(i)
     return Poset(leq, labels, f"2^{n}-{{}}", (images - 1).astype(np.int32))
-
-
-def down_sets_masks(p: Poset) -> list[int]:
-    """Bitmasks of all downward-closed subsets (complements of the up-sets)."""
-    full = (1 << p.size) - 1
-    return sorted(full ^ m for m in open_masks(p).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +254,19 @@ def _enumerate_canonical(n: int) -> tuple[bytes, ...]:
     if n == 1:
         return (canonical_form(make_poset(np.ones((1, 1), dtype=bool))),)
     seen: set[bytes] = set()
+    full = np.uint64((1 << (n - 1)) - 1)
+    bits = np.uint64(1) << np.arange(n - 1, dtype=np.uint64)
     for key in _enumerate_canonical(n - 1):
         base = np.frombuffer(key, dtype=np.uint8).reshape(n - 1, n - 1).astype(bool)
-        parent = Poset(base.copy(), tuple(str(i) for i in range(n - 1)))
-        # adding one new maximal element; its strict down-set is any down-closed set
-        for dmask in down_sets_masks(parent):
-            leq = np.zeros((n, n), dtype=bool)
-            leq[: n - 1, : n - 1] = base
-            leq[n - 1, n - 1] = True
-            for i in range(n - 1):
-                if dmask >> i & 1:
-                    leq[i, n - 1] = True
+        parent = Poset(base, tuple(str(i) for i in range(n - 1)))
+        # adding one new maximal element; its strict down-set is any
+        # down-closed set, the complement of an up-set
+        below = ((full ^ open_sets(parent))[:, None] & bits) != 0
+        leq = np.zeros((n, n), dtype=bool)
+        leq[: n - 1, : n - 1] = base
+        leq[n - 1, n - 1] = True
+        for column in below:
+            leq[: n - 1, n - 1] = column
             seen.add(canonical_form(leq))
     return tuple(sorted(seen))
 

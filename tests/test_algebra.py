@@ -44,6 +44,7 @@ from medlat.poset import (
     enumerate_posets,
     load_poset,
     powerset_poset,
+    up_closure,
 )
 
 
@@ -235,13 +236,32 @@ def test_open_antichain_representation(fork):
         mask = int(a.open_masks[u])
         assert all(mask >> i & 1 for i in mins)
         # minimal generators rebuild the open exactly
-        from medlat.poset import up_closure
-        assert up_closure(fork, mins).mask == mask
+        assert up_closure(fork, mins) == mask
     with pytest.raises(InputError):
         base = bn(2)
         stripped = from_tables(base.leq, base.join, base.meet, base.imp,
                                base.bottom, base.top)
         open_antichain_representation(stripped, 0)
+
+
+def test_open_antichain_representation_brute_force():
+    """Every element of the algebras of all posets with at most 5 elements:
+    the result is the set of minimal members of the element's up-set, found
+    pair by pair, and its up-closure is the up-set again."""
+    checked = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            a = from_poset(p)
+            for x in range(a.size):
+                mask = int(a.open_masks[x])
+                members = [i for i in range(p.size) if mask >> i & 1]
+                minimal = [i for i in members
+                           if not any(j != i and p.leq[j, i] for j in members)]
+                got = open_antichain_representation(a, x)
+                assert got == minimal, (p.name, x)
+                assert up_closure(p, got) == mask
+                checked += 1
+    assert checked == 938
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +299,33 @@ def test_factor_matches_interval_on_bn2():
         assert res.iso_to_initial_segment is not None
         assert res.algebra.size == interval(a, a.bottom, x).size
         assert validate(res.algebra) == []
+
+
+def test_factor_map_sends_each_class_to_its_meet_with_f():
+    """On every factor of bn(3), the returned isomorphism onto [0, f] sends
+    the class of each x <= f to x itself (x x f = x)."""
+    a = bn(3)
+    for f in range(a.size):
+        res = factor_by_principal_filter(a, f)
+        if res.degenerate:
+            assert res.iso_to_initial_segment is None
+            continue
+        iso = res.iso_to_initial_segment
+        segment = np.flatnonzero(a.leq[:, f])  # [0, f], in interval's order
+        assert iso.is_bijective() and is_b_homomorphism(iso) == (True, None)
+        for x in segment:
+            assert segment[iso(res.class_of[x])] == x, (f, x)
+
+
+def test_factor_map_that_is_no_homomorphism_is_refused():
+    """The factor's tables come from the quotient order alone, so when the
+    algebra's own imp table is wrong, the map onto [0, f] does not preserve
+    imp and no isomorphism is returned."""
+    a = bn(2)
+    wrong = from_tables(a.leq, a.join, a.meet, np.full_like(a.imp, a.bottom),
+                        a.bottom, a.top)
+    assert factor_by_principal_filter(a, a.top).iso_to_initial_segment is not None
+    assert factor_by_principal_filter(wrong, wrong.top).iso_to_initial_segment is None
 
 
 def test_factor_class_structure():

@@ -124,6 +124,22 @@ def test_factor_over_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1 and "167 classes" in err
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_budget_flag_reaches_the_factor_refusal(capsys, monkeypatch, command):
+    """--budget, not only MEDLAT_BUDGET, bounds a factor's tables: a small
+    flag refuses factor:bn:4,<top> (3 * 167**3 steps), and a large one lets
+    it through even when MEDLAT_BUDGET alone would refuse it."""
+    top = bn(4).top
+    formula = ["p | ~p"] if command == "check" else []
+    argv = [command, *formula, "--algebra", f"factor:bn:4,{top}", "--json"]
+    rc, out, err = run(capsys, *argv, "--budget", "1000")
+    assert rc == 2 and out == "" and "167 classes" in err and "budget 1000" in err
+    monkeypatch.setenv("MEDLAT_BUDGET", "1e6")
+    rc, out, err = run(capsys, *argv, "--budget", str(10 ** 12))
+    assert err == "" and json.loads(out)
+    assert rc == (1 if command == "check" else 0)
+
+
 def test_check_sampling_mode(capsys):
     rc, out, _ = run(capsys, "check", "p | ~p", "--algebra", "bn:3",
                      "--budget", "50", "--sample", "7", "--json")

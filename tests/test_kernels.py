@@ -27,7 +27,7 @@ from medlat.logic import (
     parse,
     variables,
 )
-from medlat.poset import chain_poset, open_masks
+from medlat.poset import chain_poset, open_sets
 
 
 def _programs():
@@ -206,7 +206,7 @@ def _imp_posets():
 
 def _imp_block(p, rng, k=40):
     """Up to k rows and k columns of p's up-sets and imp_masks on them."""
-    masks = open_masks(p)
+    masks = open_sets(p)
     rows = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
     cols = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
     out = kernels.imp_masks(masks[rows], masks[cols], kernels.down_luts(p.down_masks))
@@ -231,7 +231,7 @@ def test_imp_masks_definition():
     """imp_masks matches its definition {x : [x) & U <= V}, bit by bit."""
     rng = np.random.default_rng(8)
     for p in _imp_posets():
-        masks = open_masks(p).tolist()
+        masks = open_sets(p).tolist()
         up = [int(x) for x in p.up_masks]
         rows, cols, out = _imp_block(p, rng)
         for i, u in enumerate(rows):

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from medlat.logic import (
     theory_compare,
     variables,
 )
+from medlat.poset import enumerate_posets
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +402,49 @@ def test_kp_class_check_small():
     assert rep.ok
     assert not rep.positive_kp_failures
     assert rep.positive and rep.negative
-    with pytest.raises(ResourceLimitError):
-        kp_class_check(7)
+
+
+def test_kp_class_check_shares_the_enumeration_cap(monkeypatch):
+    """ENUMERATION_CAP bounds the class check: 8 is refused before any
+    algebra is built, and 7, every poset that can be enumerated, is checked."""
+    with monkeypatch.context() as mp:
+        mp.setattr("medlat.logic.from_poset", _no_algebra)
+        with pytest.raises(ResourceLimitError, match="cap is 7"):
+            kp_class_check(8)
+    rep = kp_class_check(7)
+    assert len(rep.positive) + len(rep.negative) == 1 + 2 + 5 + 16 + 63 + 318 + 2045
+    assert len(rep.positive) == 204
+    # the predicate does not imply KP at size 7: one algebra of the positive
+    # class refutes it (kp_class_check(6) finds none)
+    assert not rep.ok and rep.positive_kp_failures == ("P7.1924:B(P7.1924)",)
+
+
+def _no_algebra(p):
+    raise AssertionError("an algebra was built")
+
+
+def test_kp_fails_on_a_frame_whose_negations_are_principal():
+    """P7.1924 by Kripke semantics on Python sets: every negation of an
+    up-set is empty or principal (meet-irreducible in the algebra), and the
+    countermodel is_valid reports refutes KP at the root."""
+    p = next(q for q in enumerate_posets(7) if q.name == "P7.1924")
+    a = from_poset(p)
+    up = [frozenset(np.flatnonzero(row).tolist()) for row in p.leq]
+    world = frozenset(range(p.size))
+
+    def imp(u, v):
+        return frozenset(x for x in world if not (up[x] & u) - v)
+
+    def neg(u):
+        return imp(u, frozenset())
+
+    sets = [frozenset(i for i in world if m >> i & 1) for m in a.open_masks.tolist()]
+    assert all(not neg(u) or neg(u) in up for u in sets)
+    rep = is_valid(axiom("kp"), a)
+    v = {name: sets[x] for name, x in rep.countermodel.items()}
+    np_ = neg(v["p"])
+    kp = imp(imp(np_, v["q"] | v["r"]), imp(np_, v["q"]) | imp(np_, v["r"]))
+    assert rep.valid is False and 0 not in kp
 
 
 def test_one_variable_spectrum():

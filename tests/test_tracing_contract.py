@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from medlat import kernels
+import medlat.cli  # noqa: F401  (the tracer wraps functions of every target module)
+from medlat import algebra, kernels
 from medlat.algebra import bn
 from medlat.logic import is_valid, parse
+from medlat.poset import chain_poset
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -49,3 +51,16 @@ def test_is_valid_takes_the_harness_keywords():
     """perfbench/workloads.py calls ``is_valid(formula, algebra, workers=1)``."""
     rep = is_valid(parse("p | ~p"), bn(2), workers=1)
     assert (rep.valid, rep.countermodel, rep.mode) == (False, {"p": 1}, "exhaustive")
+
+
+def test_open_sets_span_is_recorded(tracing):
+    """from_poset enumerates its up-sets through poset.open_sets, so the
+    per-layer ``poset.open_sets`` metrics count one call per algebra."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        a = algebra.from_poset(chain_poset(3))
+    finally:
+        tracer.disable()
+    spans = [s for s in tracer.spans if s[0] == "poset.open_sets"]
+    assert len(spans) == 1 and spans[0][5] == a.size == 4
