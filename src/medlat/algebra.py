@@ -10,7 +10,6 @@ every query downstream of construction is a table lookup.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -19,7 +18,9 @@ import numpy as np
 from . import kernels
 from .errors import InputError, ResourceLimitError
 from .poset import (
+    MAX_POSET_SIZE,
     Poset,
+    _row_masks,
     check_partial_order,
     chain_poset,
     cover_matrix,
@@ -28,21 +29,9 @@ from .poset import (
 )
 
 MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
-_TABLE_BLOCK = 1 << 20      # table entries from_poset computes at a time
+_TABLE_BLOCK = 1 << 20      # table entries computed at a time
 VALIDATE_CAP = 320
 BN_CAP = 5
-DEFAULT_BUDGET = 100_000_000
-
-
-def evaluation_budget() -> int:
-    """The one work limit, in steps: MEDLAT_BUDGET, else DEFAULT_BUDGET."""
-    raw = os.environ.get("MEDLAT_BUDGET", "")
-    if raw:
-        try:
-            return int(float(raw))
-        except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
-            raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
-    return DEFAULT_BUDGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +265,11 @@ def validate(a: BrouwerAlgebra) -> list[Violation]:
 
 
 def _distributivity_witness(a: BrouwerAlgebra) -> tuple[int, int, int] | None:
-    """The least (a, b, c) with a x (b + c) != (a x b) + (a x c), or None."""
+    """The least (a, b, c) with a x (b + c) != (a x b) + (a x c), or None.
+    The check is cubic in size, so it is refused above ``VALIDATE_CAP``."""
+    if a.size > VALIDATE_CAP:
+        raise ResourceLimitError(f"the distributivity check is cubic in size; "
+                                 f"{a.size} elements exceeds cap {VALIDATE_CAP}")
     ar = np.arange(a.size)
     lhs = a.meet[ar[:, None, None], a.join[None, :, :]]
     rhs = a.join[a.meet[:, :, None], a.meet[:, None, :]]
@@ -378,63 +371,56 @@ class FactorResult:
     iso_to_initial_segment: "AlgebraMap | None"
 
 
-def factor_by_principal_filter(a: BrouwerAlgebra, f: int,
-                                budget: int | None = None) -> FactorResult:
+def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     """Quotient by the principal filter of f:  b <= c in the factor iff
-    b x d <= c for some d >= f.  The quotient operations are rebuilt from
-    the quotient order (not transported), so the map [b] |-> b x f onto the
-    initial segment [0, f] is checked, as an independent test, to be a
-    bijective B-homomorphism.  The tables cost 3 k**3 steps for k classes,
-    refused above budget (None: ``evaluation_budget()``).
+    b x d <= c for some d >= f.  Meet is monotone, so d = f decides every
+    pair, and the classes are the values of b x f, numbered in order of
+    first occurrence.
+
+    A finite distributive lattice is the algebra of up-sets of its
+    join-irreducibles J (Birkhoff): each class becomes the up-set of the
+    members of J not below it, and the tables are those of ``from_poset``
+    on J, relabelled into class order.  Before any table, the quotient is
+    refused when J has more than ``MAX_POSET_SIZE`` elements, and when its
+    order is not a distributive lattice.  The operations come from the
+    quotient order alone (they are not transported), so the map
+    [b] |-> b x f onto the initial segment [0, f] is checked, as an
+    independent test, to be a bijective B-homomorphism.
     """
     f = a.check_element(f)
-    m = a.size
-    reach = _factor_preorder(a, f)
-    same = reach & reach.T
-    class_of = np.full(m, -1, dtype=np.int32)
-    reps: list[int] = []
-    for x in range(m):
-        if class_of[x] >= 0:
-            continue
-        k = len(reps)
-        members = np.flatnonzero(same[x, :] & (class_of < 0))
-        class_of[members] = k
-        reps.append(x)
+    _, first, value_class = np.unique(a.meet[:, f], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the values of b x f by first occurrence
+    reps = first[order]
+    class_of = np.argsort(order).astype(np.int32)[value_class]
     k = len(reps)
-    steps = 3 * k ** 3  # three tables of k * k entries, each a _least over k columns
-    if budget is None:
-        budget = evaluation_budget()
-    if steps > budget:
+    leq_q = a.leq[a.meet[reps, f]][:, reps]
+    ji = np.flatnonzero(cover_matrix(leq_q).sum(axis=0) == 1)  # one lower cover
+    if len(ji) > MAX_POSET_SIZE:
         raise ResourceLimitError(
-            f"factor of {a.provenance} by {f} has {k} classes; its tables need "
-            f"~{steps} steps > budget {budget}")
-    leq_q = reach[np.ix_(reps, reps)]
-    geq_q = np.ascontiguousarray(leq_q.T)
-    join_q = np.empty((k, k), dtype=np.int32)
-    meet_q = np.empty((k, k), dtype=np.int32)
-    imp_q = np.empty((k, k), dtype=np.int32)
-    above = leq_q.sum(axis=1, dtype=np.int32)
-    below = leq_q.sum(axis=0, dtype=np.int32)
-    step = max(1, _TABLE_BLOCK // k)
-
-    def chunks():
-        """Pairs (i, j) in flat order i * k + j, about _TABLE_BLOCK // k at a time."""
-        for lo in range(0, k * k, step):
-            yield lo, *np.divmod(np.arange(lo, min(lo + step, k * k)), k)
-
-    for lo, i, j in chunks():
-        join_q.flat[lo:lo + len(i)] = _least(leq_q[i] & leq_q[j], leq_q, above)
-        meet_q.flat[lo:lo + len(i)] = _least(geq_q[i] & geq_q[j], geq_q, below)
-    for lo, i, j in chunks():
-        # imp_q[i, j] is the least c with j <= i + c
-        imp_q.flat[lo:lo + len(i)] = _least(leq_q[j[:, None], join_q[i]], leq_q, above)
+            f"factor of {a.provenance} by {f} has {len(ji)} join-irreducibles; "
+            f"the cap is {MAX_POSET_SIZE}")
+    ups = _row_masks(~leq_q[ji].T)  # bit t of class x: ji[t] is not below x
+    j_poset = Poset(leq_q[ji][:, ji], tuple(map(str, ji)), f"J({a.provenance},{f})")
+    # A distributive lattice iff x |-> ups[x] is an order isomorphism onto
+    # the up-sets of J; the order is compared a band of rows at a time.
+    rows = max(1, _TABLE_BLOCK // k)
+    bands = (slice(lo, lo + rows) for lo in range(0, k, rows))
+    if not (all((((ups[r, None] | ups) == ups[r, None]) == leq_q[r]).all() for r in bands)
+            and np.array_equal(np.sort(ups), open_sets(j_poset))):
+        raise InputError("quotient order has no unique bound (not a distributive lattice)")
+    j_algebra = from_poset(j_poset)
+    pos = np.searchsorted(j_algebra.open_masks, ups)  # class x is element pos[x]
+    rank = np.argsort(pos).astype(np.int32)           # element s is class rank[s]
+    join_q, meet_q, imp_q = (rank[t[pos][:, pos]]
+                             for t in (j_algebra.join, j_algebra.meet, j_algebra.imp))
+    del j_algebra  # its tables are as large as the factor's
     bottom_q = int(class_of[a.bottom])
     top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
     alg = BrouwerAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
                          labels, f"factor({a.provenance},{f})")
     iso = _factor_map(a, f, alg, reps) if k > 1 else None
-    return FactorResult(alg, class_of, tuple(reps), k == 1, iso)
+    return FactorResult(alg, class_of, tuple(reps.tolist()), k == 1, iso)
 
 
 def _factor_map(a: BrouwerAlgebra, f: int, factor: BrouwerAlgebra,
@@ -448,24 +434,6 @@ def _factor_map(a: BrouwerAlgebra, f: int, factor: BrouwerAlgebra,
     iso = AlgebraMap(factor, segment, image)
     ok = (image >= 0).all() and iso.is_bijective() and is_b_homomorphism(iso)[0]
     return iso if ok else None
-
-
-def _factor_preorder(a: BrouwerAlgebra, f: int) -> np.ndarray:
-    """reach[b, c]: b x d <= c for some d >= f.  Meet is monotone, so
-    d = f is the best witness and one gather decides every pair."""
-    return a.leq[a.meet[:, f], :]
-
-
-def _least(sets: np.ndarray, order: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """The least element, in the partial order ``order``, of each row of the
-    bool matrix sets (column c: c is a member).  It is the member with the
-    most elements above it (``above`` counts them), and it must lie below
-    every member."""
-    least = np.where(sets, above, -1).argmax(axis=1)
-    member = sets[np.arange(len(sets)), least]
-    if not member.all() or (sets & ~order[least]).any():
-        raise InputError("quotient order has no unique bound (not a lattice congruence?)")
-    return least
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,16 @@ def resolve_element(a: alg.BrouwerAlgebra, token: str) -> int:
     raise InputError(f"label {token!r} is ambiguous in {a.provenance}")
 
 
-def resolve_algebra(spec: str, budget: int | None = None) -> alg.BrouwerAlgebra:
+def resolve_algebra(spec: str) -> alg.BrouwerAlgebra:
     """The algebra a selector names; a malformed selector or an unreadable
-    poset file is an InputError.  Factors are refused above the step
-    budget (None: ``MEDLAT_BUDGET`` or the default)."""
+    poset file is an InputError."""
     try:
-        return _resolve(spec, budget)
+        return _resolve(spec)
     except (ValueError, OSError) as e:  # ValueError includes JSONDecodeError
         raise InputError(f"bad algebra spec {spec!r}: {e}") from e
 
 
-def _resolve(spec: str, budget: int | None) -> alg.BrouwerAlgebra:
+def _resolve(spec: str) -> alg.BrouwerAlgebra:
     spec = spec.strip()
     if ":" not in spec:
         raise InputError(f"bad algebra spec {spec!r}")
@@ -67,14 +66,13 @@ def _resolve(spec: str, budget: int | None) -> alg.BrouwerAlgebra:
         return alg.from_poset(ps.load_poset(rest))
     if kind == "interval":
         inner, a_tok, b_tok = rest.rsplit(",", 2)
-        base = _resolve(inner, budget)
+        base = _resolve(inner)
         return alg.interval(base, resolve_element(base, a_tok),
                             resolve_element(base, b_tok))
     if kind == "factor":
         inner, a_tok = rest.rsplit(",", 1)
-        base = _resolve(inner, budget)
-        return alg.factor_by_principal_filter(
-            base, resolve_element(base, a_tok), budget).algebra
+        base = _resolve(inner)
+        return alg.factor_by_principal_filter(base, resolve_element(base, a_tok)).algebra
     raise InputError(f"unknown algebra kind {kind!r} in spec {spec!r}")
 
 
@@ -92,7 +90,7 @@ def _print_report(rep: lg.ValidityReport, as_json: bool):
 
 
 def cmd_check(args) -> int:
-    a = resolve_algebra(args.algebra, args.budget)
+    a = resolve_algebra(args.algebra)
     f = lg.parse(args.formula)
     rep = lg.is_valid(f, a, budget=args.budget, sample_seed=args.sample,
                       workers=args.parallel)
@@ -135,7 +133,7 @@ def cmd_countermodel(args) -> int:
 
 
 def cmd_report(args) -> int:
-    a = resolve_algebra(args.algebra, args.budget)
+    a = resolve_algebra(args.algebra)
     rows = []
     for name in sorted(lg.AXIOM_TEXT):
         try:
@@ -264,6 +262,12 @@ def _suite_hom(n: int = 3) -> list[str]:
 
 
 def _suite_kp(max_poset: int = 5) -> list[str]:
+    # The class property holds for every poset with at most 6 elements and
+    # is false at 7, so a larger bound would report a true counterexample
+    # as a failure of the library.
+    if max_poset > 6:
+        raise InputError(f"verify kp stops at poset size 6: at 7, B(P7.1924) has only "
+                         f"meet-irreducible negations and refutes KP (got {max_poset})")
     rep = lg.kp_class_check(max_poset)
     if rep.ok:
         return []

@@ -21,13 +21,24 @@ from .algebra import (
     all_negations_meet_irreducible,
     bn,
     close_under,
-    evaluation_budget,
     from_poset,
 )
 from .errors import InputError, ResourceLimitError
 from .poset import ENUMERATION_CAP, Poset, enumerate_posets
 
 MAX_FORMULA_DEPTH = 64
+DEFAULT_BUDGET = 100_000_000
+
+
+def evaluation_budget() -> int:
+    """The one work limit, in steps: MEDLAT_BUDGET, else DEFAULT_BUDGET."""
+    raw = os.environ.get("MEDLAT_BUDGET", "")
+    if raw:
+        try:
+            return int(float(raw))
+        except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
+            raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
+    return DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from medlat.algebra import (
     plus_a_map,
     validate,
 )
-from medlat.algebra import _factor_preorder
 from medlat.errors import InputError, ResourceLimitError
 from medlat.freedist import free_algebra
 from medlat.poset import (
@@ -154,6 +153,16 @@ def test_validate_flags_bad_join():
 def test_validate_cap():
     with pytest.raises(ResourceLimitError):
         validate(from_poset(antichain_poset(9)))  # 512 elements
+
+
+def test_distributivity_check_cap():
+    """The distributivity check builds (m, m, m) arrays, so it is refused
+    above VALIDATE_CAP before any of them, whoever calls it."""
+    a = from_poset(antichain_poset(9))  # 512 elements
+    with pytest.raises(ResourceLimitError, match="512 elements"):
+        is_distributive(a)
+    with pytest.raises(ResourceLimitError, match="512 elements"):
+        meet_irreducible_decomposition(a, 0)
 
 
 def test_from_poset_refuses_oversized_algebra():
@@ -387,12 +396,14 @@ def _factor_cases():
         for p in enumerate_posets(n):
             a = from_poset(p)
             yield from ((a, f) for f in range(a.size))
-    yield from ((bn(3), f) for f in range(bn(3).size))
+    for a in (bn(3), free_algebra(2)[0], free_algebra(3)[0]):
+        yield from ((a, f) for f in range(a.size))
 
 
 def test_factor_matches_brute_force():
-    """Every factor of the algebras of posets with at most 4 elements and of
-    bn(3): the array-built quotient equals the element-by-element one."""
+    """Every factor of the algebras of posets with at most 4 elements, of
+    bn(3) and of the free algebras on 2 and 3 generators (which have no
+    poset): the array-built quotient equals the element-by-element one."""
     for a, f in _factor_cases():
         res = factor_by_principal_filter(a, f)
         le, join, meet, imp, class_of, reps = _factor_reference(a, f)
@@ -401,28 +412,6 @@ def test_factor_matches_brute_force():
         assert (q.join.tolist(), q.meet.tolist(), q.imp.tolist()) == (join, meet, imp)
         assert res.class_of.tolist() == class_of and list(res.representatives) == reps
         assert (q.bottom, q.top) == (class_of[a.bottom], class_of[a.top])
-
-
-def _factor_preorder_loop(a, f):
-    """The quotient preorder by its definition: b x d <= c for some d >= f,
-    one m x m gather per element d of the filter."""
-    reach = np.zeros((a.size, a.size), dtype=bool)
-    for d in np.flatnonzero(a.leq[f, :]):
-        reach |= a.leq[a.meet[:, d], :]
-    return reach
-
-
-def test_factor_preorder_is_one_gather():
-    """Meet is monotone, so the witness d = f decides every pair: the one
-    gather equals the loop over the filter on every element of bn(1..3),
-    every 7th element of bn(4) and every element of the algebras of the
-    posets with at most 4 elements."""
-    cases = [(bn(n), f) for n in (1, 2, 3) for f in range(bn(n).size)]
-    cases += [(bn(4), f) for f in range(0, bn(4).size, 7)]
-    algebras = [from_poset(p) for n in range(1, 5) for p in enumerate_posets(n)]
-    cases += [(a, f) for a in algebras for f in range(a.size)]
-    for a, f in cases:
-        assert (_factor_preorder(a, f) == _factor_preorder_loop(a, f)).all(), (a, f)
 
 
 def test_factor_of_a_non_lattice_order_is_refused():
@@ -439,22 +428,60 @@ def test_factor_of_a_non_lattice_order_is_refused():
         factor_by_principal_filter(a, 5)
 
 
-def _no_least(*args):
-    raise AssertionError("_least ran")
+def _no_tables(*args):
+    raise AssertionError("the tables were built")
 
 
-def test_factor_over_budget_is_refused_before_its_tables(monkeypatch):
-    """Factoring by the top leaves k = |a| classes, and the three tables cost
-    3 k**3 steps of the evaluation budget: one step over it, the factor is
-    refused before _least runs; at the budget it is built."""
-    with monkeypatch.context() as mp:
-        mp.setattr("medlat.algebra._least", _no_least)
-        for a in (bn(3), bn(4)):
-            mp.setenv("MEDLAT_BUDGET", str(3 * a.size ** 3 - 1))
-            with pytest.raises(ResourceLimitError, match=f"{a.size} classes"):
-                factor_by_principal_filter(a, a.top)
-    monkeypatch.setenv("MEDLAT_BUDGET", str(3 * 19 ** 3))
-    assert factor_by_principal_filter(bn(3), bn(3).top).algebra.size == 19
+def _order_by_its_top(leq):
+    """Tables whose order is leq and whose meet with the last element is
+    the identity, so factoring by it leaves the order as it is."""
+    m = len(leq)
+    meet = np.zeros((m, m), dtype=np.int32)
+    meet[:, m - 1] = np.arange(m)
+    return from_tables(leq, np.zeros((m, m)), meet, np.zeros((m, m)), bottom=0, top=m - 1)
+
+
+def _order(m, pairs):
+    leq = np.eye(m, dtype=bool)
+    for lo, hi in pairs:
+        leq[lo, hi] = True
+    return leq
+
+
+@pytest.mark.parametrize("leq", [
+    # M3: 0 < 1, 2, 3 < 4, a lattice but not distributive
+    _order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]),
+    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4
+    _order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]),
+    # the subsets of {0, 1, 2} as bitmasks, without {0, 1} <= {0, 1, 2}:
+    # each element is still the set of join-irreducibles below it, but not
+    # every inclusion is in the order
+    _order(8, [(lo, hi) for lo in range(8) for hi in range(8)
+               if lo | hi == hi and (lo, hi) != (3, 7)]),
+], ids=["M3", "N5", "cube-minus-one-pair"])
+def test_factor_of_an_order_that_is_no_distributive_lattice_is_refused(monkeypatch, leq):
+    """The quotient order must be the up-sets of its join-irreducibles: the
+    two non-distributive five-element lattices have too few elements for
+    that, and the cut cube has the elements but not the order.  Each is
+    refused before any table."""
+    monkeypatch.setattr("medlat.algebra.from_poset", _no_tables)
+    with pytest.raises(InputError, match="no unique bound"):
+        factor_by_principal_filter(_order_by_its_top(leq), len(leq) - 1)
+
+
+def test_factor_with_too_many_join_irreducibles_is_refused(monkeypatch):
+    """Factoring a 66-element chain by its top keeps all 66 elements, 65 of
+    them join-irreducible: more than a uint64 up-set mask holds, so the
+    factor is refused before any table."""
+    ar = np.arange(66)
+    leq = ar[:, None] <= ar[None, :]
+    imp = np.where(leq.T, 0, ar[None, :])  # a -> b: bottom when b <= a, else b
+    a = from_tables(leq, np.maximum.outer(ar, ar), np.minimum.outer(ar, ar), imp,
+                    bottom=0, top=65)
+    assert validate(a) == []
+    monkeypatch.setattr("medlat.algebra.from_poset", _no_tables)
+    with pytest.raises(ResourceLimitError, match="65 join-irreducibles"):
+        factor_by_principal_filter(a, a.top)
 
 
 # ---------------------------------------------------------------------------

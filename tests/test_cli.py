@@ -116,28 +116,20 @@ def test_unrepresentable_numbers_exit_2(capsys, monkeypatch, argv, budget_env):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_factor_over_budget_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("MEDLAT_BUDGET", "1e6")  # factor:bn:4,<top> needs 3 * 167**3 steps
-    top = bn(4).top
-    rc, out, err = run(capsys, "check", "p | ~p", "--algebra", f"factor:bn:4,{top}")
-    assert rc == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "167 classes" in err
-
-
 @pytest.mark.parametrize("command", ["check", "report"])
-def test_budget_flag_reaches_the_factor_refusal(capsys, monkeypatch, command):
-    """--budget, not only MEDLAT_BUDGET, bounds a factor's tables: a small
-    flag refuses factor:bn:4,<top> (3 * 167**3 steps), and a large one lets
-    it through even when MEDLAT_BUDGET alone would refuse it."""
+def test_factor_answers_whatever_the_budget(capsys, monkeypatch, command):
+    """The step budget bounds valuation scans only: factor:bn:4,<top> (167
+    classes) is built under a small MEDLAT_BUDGET and a small --budget."""
     top = bn(4).top
     formula = ["p | ~p"] if command == "check" else []
     argv = [command, *formula, "--algebra", f"factor:bn:4,{top}", "--json"]
-    rc, out, err = run(capsys, *argv, "--budget", "1000")
-    assert rc == 2 and out == "" and "167 classes" in err and "budget 1000" in err
+    expected = 1 if command == "check" else 0
     monkeypatch.setenv("MEDLAT_BUDGET", "1e6")
-    rc, out, err = run(capsys, *argv, "--budget", str(10 ** 12))
-    assert err == "" and json.loads(out)
-    assert rc == (1 if command == "check" else 0)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (expected, "") and json.loads(out)
+    monkeypatch.delenv("MEDLAT_BUDGET")
+    rc, out, err = run(capsys, *argv, "--budget", "1000")
+    assert (rc, err) == (expected, "") and json.loads(out)
 
 
 def test_check_sampling_mode(capsys):
@@ -259,6 +251,16 @@ def test_verify_suites(capsys):
     assert rc == 0
     rc, out, _ = run(capsys, "verify", "factor", "--max-poset", "3")
     assert rc == 0
+
+
+def test_verify_kp_stops_at_poset_size_6(capsys):
+    """At 7 elements B(P7.1924) has only meet-irreducible negations and
+    refutes KP, so the suite refuses the bound instead of failing."""
+    rc, out, _ = run(capsys, "verify", "kp", "--max-poset", "6")
+    assert rc == 0 and "PASS" in out
+    rc, out, err = run(capsys, "verify", "kp", "--max-poset", "7")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "B(P7.1924)" in err
 
 
 @pytest.mark.parametrize("argv", [
