@@ -116,20 +116,29 @@ def test_unrepresentable_numbers_exit_2(capsys, monkeypatch, argv, budget_env):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["check", "report"])
-def test_factor_answers_whatever_the_budget(capsys, monkeypatch, command):
-    """The step budget bounds valuation scans only: factor:bn:4,<top> (167
-    classes) is built under a small MEDLAT_BUDGET and a small --budget."""
-    top = bn(4).top
+def factor_argv(command):
+    """check or report on factor:bn:4,<top> (167 classes), with its exit code."""
     formula = ["p | ~p"] if command == "check" else []
-    argv = [command, *formula, "--algebra", f"factor:bn:4,{top}", "--json"]
-    expected = 1 if command == "check" else 0
-    monkeypatch.setenv("MEDLAT_BUDGET", "1e6")
-    rc, out, err = run(capsys, *argv)
-    assert (rc, err) == (expected, "") and json.loads(out)
-    monkeypatch.delenv("MEDLAT_BUDGET")
+    argv = [command, *formula, "--algebra", f"factor:bn:4,{bn(4).top}", "--json"]
+    return argv, (1 if command == "check" else 0)
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_factor_answers_whatever_the_budget(capsys, command):
+    """The step budget bounds valuation scans only: a small --budget does
+    not refuse factor:bn:4,<top>."""
+    argv, expected = factor_argv(command)
     rc, out, err = run(capsys, *argv, "--budget", "1000")
     assert (rc, err) == (expected, "") and json.loads(out)
+
+
+def test_factor_answers_under_a_small_budget_env(capsys, monkeypatch):
+    """A small MEDLAT_BUDGET does not refuse factor:bn:4,<top> either."""
+    monkeypatch.setenv("MEDLAT_BUDGET", "1e6")
+    for command in ("check", "report"):
+        argv, expected = factor_argv(command)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (expected, "") and json.loads(out)
 
 
 def test_check_sampling_mode(capsys):
