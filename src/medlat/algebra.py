@@ -26,6 +26,7 @@ from .poset import (
     cover_matrix,
     open_sets,
     powerset_poset,
+    single_covers,
 )
 
 MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
@@ -285,28 +286,27 @@ def is_distributive(a: BrouwerAlgebra) -> bool:
 # irreducibles and representations
 # ---------------------------------------------------------------------------
 
+def _irreducible_masks(a: BrouwerAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(meet_irreducible, join_irreducible) masks: in a finite lattice, at
+    most one upper (lower) cover, so the bounds, with none, count too."""
+    one_lower, one_upper = single_covers(a.leq)
+    one_upper[a.top] = one_lower[a.bottom] = True
+    return one_upper, one_lower
+
+
 def join_irreducible(a: BrouwerAlgebra, x: int) -> bool:
-    """No b, c strictly below x join to x (strict rule: bottom counts as irreducible)."""
-    x = a.check_element(x)
-    below = np.flatnonzero(a.leq[:, x] & (np.arange(a.size) != x))
-    if below.size == 0:
-        return True
-    return not (a.join[np.ix_(below, below)] == x).any()
+    """No b, c strictly below x join to x (the bottom counts as irreducible)."""
+    return bool(_irreducible_masks(a)[1][a.check_element(x)])
 
 
 def meet_irreducible(a: BrouwerAlgebra, x: int) -> bool:
-    x = a.check_element(x)
-    above = np.flatnonzero(a.leq[x, :] & (np.arange(a.size) != x))
-    if above.size == 0:
-        return True
-    return not (a.meet[np.ix_(above, above)] == x).any()
+    return bool(_irreducible_masks(a)[0][a.check_element(x)])
 
 
 def irreducibles(a: BrouwerAlgebra) -> tuple[list[int], list[int]]:
     """(meet_irreducibles, join_irreducibles), each sorted by element index."""
-    meets = [x for x in range(a.size) if meet_irreducible(a, x)]
-    joins = [x for x in range(a.size) if join_irreducible(a, x)]
-    return meets, joins
+    meets, joins = _irreducible_masks(a)
+    return np.flatnonzero(meets).tolist(), np.flatnonzero(joins).tolist()
 
 
 def meet_irreducible_decomposition(a: BrouwerAlgebra, x: int) -> list[int]:
@@ -315,15 +315,14 @@ def meet_irreducible_decomposition(a: BrouwerAlgebra, x: int) -> list[int]:
     x = a.check_element(x)
     if not is_distributive(a):
         raise InputError("meet_irreducible_decomposition requires a distributive algebra")
-    above = [y for y in range(a.size) if a.leq[x, y] and meet_irreducible(a, y)]
-    minimal = [y for y in above
-               if not any(a.leq[z, y] and z != y for z in above)]
+    above = np.flatnonzero(a.leq[x] & _irreducible_masks(a)[0])
+    minimal = above[a.leq[np.ix_(above, above)].sum(axis=0) == 1].tolist()
     acc = a.top
     for y in minimal:
         acc = int(a.meet[acc, y])
     if acc != x:
         raise InputError(f"decomposition failed for element {x} (not distributive?)")
-    return sorted(minimal)
+    return minimal
 
 
 def open_antichain_representation(a: BrouwerAlgebra, x: int) -> list[int]:
@@ -394,7 +393,7 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     class_of = np.argsort(order).astype(np.int32)[value_class]
     k = len(reps)
     leq_q = a.leq[a.meet[reps, f]][:, reps]
-    ji = np.flatnonzero(cover_matrix(leq_q).sum(axis=0) == 1)  # one lower cover
+    ji = np.flatnonzero(single_covers(leq_q)[0])  # one lower cover
     if len(ji) > MAX_POSET_SIZE:
         raise ResourceLimitError(
             f"factor of {a.provenance} by {f} has {len(ji)} join-irreducibles; "
@@ -512,15 +511,12 @@ def plus_a_map(a: BrouwerAlgebra, shift: int, c: int) -> PlusMapResult:
 # isomorphism search
 # ---------------------------------------------------------------------------
 
-def _ji_fingerprints(a: BrouwerAlgebra, ji: list[int]) -> list[tuple]:
-    fp = []
-    for x in ji:
-        below = sum(1 for y in ji if a.leq[y, x])
-        above = sum(1 for y in ji if a.leq[x, y])
-        deg_below = int(a.leq[:, x].sum())
-        deg_above = int(a.leq[x, :].sum())
-        fp.append((below, above, deg_below, deg_above))
-    return fp
+def _ji_fingerprints(a: BrouwerAlgebra, ji: np.ndarray) -> list[tuple]:
+    """Per join-irreducible: how many join-irreducibles lie below and above
+    it, and how many elements."""
+    sub = a.leq[np.ix_(ji, ji)]
+    return list(zip(sub.sum(axis=0).tolist(), sub.sum(axis=1).tolist(),
+                    a.leq[:, ji].sum(axis=0).tolist(), a.leq[ji].sum(axis=1).tolist()))
 
 
 def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
@@ -531,8 +527,9 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
     """
     if a1.size != a2.size:
         return None
-    ji1 = [x for x in range(a1.size) if x != a1.bottom and join_irreducible(a1, x)]
-    ji2 = [x for x in range(a2.size) if x != a2.bottom and join_irreducible(a2, x)]
+    # the join-irreducibles other than the bottom: exactly one lower cover
+    ji1 = np.flatnonzero(single_covers(a1.leq)[0])
+    ji2 = np.flatnonzero(single_covers(a2.leq)[0])
     if len(ji1) != len(ji2):
         return None
     fp1 = _ji_fingerprints(a1, ji1)
@@ -559,14 +556,11 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
         return True
 
     def build() -> AlgebraMap | None:
-        ji_map = {ji1[order1[p]]: ji2[assign[p]] for p in range(n)}
-        image = np.empty(a1.size, dtype=np.int32)
-        for x in range(a1.size):
-            acc = a2.bottom
-            for j in ji1:
-                if a1.leq[j, x]:
-                    acc = int(a2.join[acc, ji_map[j]])
-            image[x] = acc
+        # each x goes to the join of the images of the join-irreducibles below it
+        image = np.full(a1.size, a2.bottom, dtype=np.int32)
+        for p in range(n):
+            below = a1.leq[ji1[order1[p]]]
+            image[below] = a2.join[image[below], ji2[assign[p]]]
         f = AlgebraMap(a1, a2, image)
         if not f.is_bijective():
             return None
@@ -631,15 +625,10 @@ def generated_subalgebra(a: BrouwerAlgebra, seeds, ops=CLOSURE_OPS) -> list[int]
 
 
 def all_negations_meet_irreducible(a: BrouwerAlgebra) -> tuple[bool, int | None]:
-    """True iff -x is meet-irreducible for every element x; else a witness x."""
-    checked: dict[int, bool] = {}
-    for x in range(a.size):
-        nx = neg(a, x)
-        if nx not in checked:
-            checked[nx] = meet_irreducible(a, nx)
-        if not checked[nx]:
-            return False, x
-    return True, None
+    """True iff -x is meet-irreducible for every element x; else the least
+    witness x."""
+    bad = np.flatnonzero(~_irreducible_masks(a)[0][a.imp[:, a.top]])
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +653,15 @@ def algebra_to_json(a: BrouwerAlgebra) -> str:
     return json.dumps(algebra_to_dict(a))
 
 
-def cover_relation(a: BrouwerAlgebra) -> np.ndarray:
-    return cover_matrix(a.leq)
-
-
 def algebra_to_dot(a: BrouwerAlgebra) -> str:
     """Hasse diagram; meet-irreducible elements are drawn as boxes."""
-    mset = {x for x in range(a.size) if meet_irreducible(a, x)}
+    boxed = _irreducible_masks(a)[0].tolist()
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i in range(a.size):
-        shape = "box" if i in mset else "ellipse"
-        extra = ""
-        if i == a.bottom:
-            extra = ", penwidth=2"
-        lines.append(f'  n{i} [label="{a.labels[i]}", shape={shape}{extra}];')
-    cov = cover_relation(a)
-    for i, j in np.argwhere(cov):
+    for i, label in enumerate(a.labels):
+        shape = "box" if boxed[i] else "ellipse"
+        extra = ", penwidth=2" if i == a.bottom else ""
+        lines.append(f'  n{i} [label="{label}", shape={shape}{extra}];')
+    for i, j in np.argwhere(cover_matrix(a.leq)):
         lines.append(f"  n{int(i)} -> n{int(j)};")
     lines.append("}")
     return "\n".join(lines)

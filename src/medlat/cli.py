@@ -145,7 +145,9 @@ def cmd_report(args) -> int:
     flag, witness = alg.all_negations_meet_irreducible(a)
     structure = {
         "size": a.size,
-        "max_antichain": ps.max_antichain_size(a.leq),
+        # Every algebra a spec names is built by the library, so its order
+        # is a partial order and is not checked again.
+        "max_antichain": ps._dilworth_width(a.leq),
         "all_negations_meet_irreducible": flag,
     }
     if args.json:
@@ -208,13 +210,8 @@ def cmd_export(args) -> int:
 def _suite_iso(max_n: int = 4) -> list[str]:
     fails = []
     for n in range(1, max_n + 1):
-        free_count = len(fd.free_enumerate(n))
-        open_count = alg.bn(n).size
-        if free_count != open_count:
-            fails.append(f"size mismatch at n={n}: {free_count} vs {open_count}")
-            continue
         try:
-            fd.iso_to_bn(n)
+            fd.iso_to_bn(n)  # compares the sizes first
         except MedlatError as e:
             fails.append(f"iso failure at n={n}: {e}")
     return fails

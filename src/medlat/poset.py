@@ -48,6 +48,18 @@ def cover_matrix(leq: np.ndarray) -> np.ndarray:
     return lt & ~_bool_square(lt)
 
 
+def single_covers(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the elements with exactly one lower cover and with exactly
+    one upper cover, in O(m^2).  x has one lower cover iff some y < x has one
+    element fewer below it (then y is that cover; with two covers, each has
+    at least two fewer), and dually above."""
+    below = leq.sum(axis=0)  # includes x itself
+    above = leq.sum(axis=1)
+    one_lower = (leq & (below[:, None] + 1 == below)).any(axis=0)
+    one_upper = (leq & (above + 1 == above[:, None])).any(axis=1)
+    return one_lower, one_upper
+
+
 def check_partial_order(leq: np.ndarray) -> None:
     """Raise InputError unless leq is reflexive, antisymmetric and transitive."""
     n = leq.shape[0]
@@ -108,12 +120,10 @@ class Poset:
         return _row_masks(self.leq.T)
 
     def minimal_elements(self) -> list[int]:
-        below = self.leq.sum(axis=0)  # includes reflexive pair
-        return [i for i in range(self.size) if below[i] == 1]
+        return np.flatnonzero(self.leq.sum(axis=0) == 1).tolist()  # x <= x counts
 
     def maximal_elements(self) -> list[int]:
-        above = self.leq.sum(axis=1)
-        return [i for i in range(self.size) if above[i] == 1]
+        return np.flatnonzero(self.leq.sum(axis=1) == 1).tolist()
 
     def __repr__(self):
         return f"Poset({self.name!r}, size={self.size})"
@@ -296,6 +306,12 @@ def max_antichain_size(leq) -> int:
     """
     m = _as_bool_matrix(leq)
     check_partial_order(m)
+    return _dilworth_width(m)
+
+
+def _dilworth_width(m: np.ndarray) -> int:
+    """``max_antichain_size`` of a boolean order matrix taken as a partial
+    order without checking it."""
     n = m.shape[0]
     # Relabel by decreasing up-set size, a linear extension in which the
     # nearest elements above x come first in its row: covers are tried first.

@@ -15,7 +15,6 @@ from medlat.algebra import (
     bn,
     chain_algebra,
     close_under,
-    cover_relation,
     factor_by_principal_filter,
     from_poset,
     from_tables,
@@ -40,6 +39,7 @@ from medlat.poset import (
     Poset,
     antichain_poset,
     chain_poset,
+    cover_matrix,
     enumerate_posets,
     load_poset,
     powerset_poset,
@@ -199,6 +199,30 @@ def test_irreducibles_against_oracle():
         for x in range(a.size):
             assert join_irreducible(a, x) == _irreducible_oracle(a, x, "join")
             assert meet_irreducible(a, x) == _irreducible_oracle(a, x, "meet")
+
+
+def _irreducible_cases():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            yield from_poset(p)
+    yield free_algebra(2)[0]
+    yield free_algebra(3)[0]
+    b3 = bn(3)
+    for lo, hi in np.argwhere(b3.leq):
+        yield interval(b3, lo, hi)
+    for f in range(b3.size):
+        yield factor_by_principal_filter(b3, f).algebra
+
+
+def test_irreducibles_match_the_table_definition():
+    """The masks read off the order agree with "no two elements strictly
+    below (above) x join (meet) to x" on the algebras of every poset with at
+    most 4 elements, the free algebras on 2 and 3 generators, and the
+    intervals and factors of bn(3)."""
+    for a in _irreducible_cases():
+        meets, joins = irreducibles(a)
+        assert meets == [x for x in range(a.size) if _irreducible_oracle(a, x, "meet")]
+        assert joins == [x for x in range(a.size) if _irreducible_oracle(a, x, "join")]
 
 
 def test_meet_decomposition_recovers_element():
@@ -637,6 +661,30 @@ def test_all_negations_meet_irreducible():
     assert not meet_irreducible(bad, neg(bad, witness))
 
 
+def test_all_negations_meet_irreducible_gives_the_least_witness():
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            a = from_poset(p)
+            witness = next((x for x in range(a.size)
+                            if not _irreducible_oracle(a, neg(a, x), "meet")), None)
+            assert all_negations_meet_irreducible(a) == (witness is None, witness)
+
+
+def test_irreducibles_and_factors_take_no_matrix_product(monkeypatch):
+    """Irreducibility is read off down-set and up-set sizes, so neither the
+    factors nor the irreducibility questions multiply order matrices."""
+    def no_product(r):
+        raise AssertionError("an order matrix was multiplied")
+
+    monkeypatch.setattr("medlat.poset._bool_square", no_product)
+    b3, b4 = bn(3), bn(4)
+    for f in range(b3.size):
+        assert factor_by_principal_filter(b3, f).algebra.size >= 1
+    meets, joins = irreducibles(b4)
+    assert len(meets) == len(joins) == 16  # 15 subsets of {0..3} and a bound
+    assert all_negations_meet_irreducible(b4) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -653,7 +701,7 @@ def test_algebra_json_round_trip():
 
 def test_cover_relation_chain():
     a = chain_algebra(4)
-    cov = cover_relation(a)
+    cov = cover_matrix(a.leq)
     assert cov.sum() == 3  # a 4-chain has exactly 3 covering pairs
 
 
@@ -664,7 +712,7 @@ def test_cover_relation_long_chain():
     leq = ar[:, None] <= ar[None, :]
     a = from_tables(leq, np.maximum.outer(ar, ar), np.minimum.outer(ar, ar),
                     np.zeros((n, n), dtype=int), 0, n - 1)
-    assert cover_relation(a).sum() == n - 1
+    assert cover_matrix(a.leq).sum() == n - 1
 
 
 def test_dot_output_marks_meet_irreducibles():
@@ -672,4 +720,4 @@ def test_dot_output_marks_meet_irreducibles():
     dot = algebra_to_dot(a)
     assert dot.startswith("digraph")
     assert dot.count("shape=box") == len(irreducibles(a)[0])
-    assert dot.count("->") == int(cover_relation(a).sum())
+    assert dot.count("->") == int(cover_matrix(a.leq).sum())

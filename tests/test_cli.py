@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import medlat
 from medlat.cli import main, resolve_algebra, resolve_element
 from medlat.errors import InputError
-from medlat.algebra import bn
+from medlat.algebra import bn, chain_algebra
+from medlat.poset import max_antichain_size
 
 
 def run(capsys, *argv):
@@ -212,6 +213,19 @@ def test_report_bn2(capsys):
     assert d["structure"]["all_negations_meet_irreducible"] is True
 
 
+def test_report_does_not_check_the_order_again(capsys, monkeypatch):
+    """Every algebra a spec names is built by the library, so report reads
+    its width without re-checking the order."""
+    width = max_antichain_size(bn(3).leq)
+
+    def no_check(leq):
+        raise AssertionError("the order was checked")
+
+    monkeypatch.setattr("medlat.poset.check_partial_order", no_check)
+    rc, out, _ = run(capsys, "report", "--algebra", "bn:3", "--json")
+    assert rc == 0 and json.loads(out)["structure"]["max_antichain"] == width
+
+
 def test_report_factor_by_top_matches_base(capsys):
     _, out_base, _ = run(capsys, "report", "--algebra", "bn:2", "--json")
     _, out_fact, _ = run(capsys, "report", "--algebra", "factor:bn:2,0", "--json")
@@ -260,6 +274,13 @@ def test_verify_suites(capsys):
     assert rc == 0
     rc, out, _ = run(capsys, "verify", "factor", "--max-poset", "3")
     assert rc == 0
+
+
+def test_verify_iso_reports_a_size_mismatch(capsys, monkeypatch):
+    """iso_to_bn compares the sizes itself; the suite reports its refusal."""
+    monkeypatch.setattr("medlat.freedist.bn", lambda n: chain_algebra(n + 2))
+    rc, out, _ = run(capsys, "verify", "iso")
+    assert rc == 1 and "iso failure at n=1: size mismatch" in out
 
 
 def test_verify_kp_stops_at_poset_size_6(capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medlat
 from conftest import random_poset, transitive_closure_poset
@@ -19,6 +21,7 @@ from medlat.poset import (
     canonical_form,
     chain_poset,
     check_partial_order,
+    cover_matrix,
     enumerate_posets,
     load_poset,
     make_poset,
@@ -28,6 +31,7 @@ from medlat.poset import (
     poset_from_dict,
     poset_to_dict,
     powerset_poset,
+    single_covers,
     up_closure,
 )
 
@@ -74,6 +78,40 @@ def test_extremes(fork):
     assert sorted(fork.maximal_elements()) == [1, 2]
     assert chain_poset(4).minimal_elements() == [0]
     assert antichain_poset(3).minimal_elements() == [0, 1, 2]
+
+
+def _assert_single_covers(leq):
+    one_lower, one_upper = single_covers(leq)
+    cov = cover_matrix(leq)
+    assert one_lower.tolist() == (cov.sum(axis=0) == 1).tolist()
+    assert one_upper.tolist() == (cov.sum(axis=1) == 1).tolist()
+
+
+def test_single_covers_enumerated():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            _assert_single_covers(p.leq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_single_covers_random_orders(n, data):
+    """Transitive closures of random DAGs (edges from lower to higher
+    index), each relabelled by a random permutation."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = data.draw(st.permutations(range(n)))
+    p = transitive_closure_poset(n, [(perm[i], perm[j]) for i, j in edges])
+    _assert_single_covers(p.leq)
+
+
+def test_single_covers_long_chain():
+    # 256 elements lie between the ends: a uint8 product would wrap to 0
+    leq = np.triu(np.ones((258, 258), dtype=bool))
+    _assert_single_covers(leq)
+    one_lower, one_upper = single_covers(leq)
+    assert np.flatnonzero(~one_lower).tolist() == [0]
+    assert np.flatnonzero(~one_upper).tolist() == [257]
 
 
 def test_up_masks(fork):
