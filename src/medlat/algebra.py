@@ -23,7 +23,7 @@ from .poset import (
     _row_masks,
     check_partial_order,
     chain_poset,
-    cover_matrix,
+    hasse_dot,
     open_sets,
     powerset_poset,
     single_covers,
@@ -107,22 +107,21 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     return _index_of_masks(masks, images)
 
 
-def from_poset(p: Poset) -> BrouwerAlgebra:
-    """The algebra of up-closed subsets of p, ordered by reverse inclusion.
-
-    join = intersection, meet = union, bottom = whole carrier, top = empty
-    set, and  U -> V = {a : [a) & U <= V}.  The tables are filled in blocks
-    of about ``_TABLE_BLOCK`` entries, a band of rows at a time.  The
-    automorphisms of p, when it carries them, become element permutations
-    of the algebra.
-    """
-    masks = open_sets(p)
+def _up_set_tables(p: Poset, masks: np.ndarray):
+    """leq, join, meet and imp of the algebra of all up-sets of p, element i
+    being masks[i], in any order: join = intersection, meet = union, and
+    U -> V = {a : [a) & U <= V}, filled a band of about ``_TABLE_BLOCK``
+    entries at a time.  A mask is found by binary search in sorted order;
+    unsorted masks map that position back through one permutation."""
     m = len(masks)
-    if m > MAX_ALGEBRA_SIZE:
-        raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-    auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
-    luts = kernels.down_luts(p.down_masks)
+    element = None if (masks[1:] > masks[:-1]).all() else np.argsort(masks).astype(np.int32)
+    ordered = masks if element is None else masks[element]
 
+    def index(wanted):
+        idx = _index_of_masks(ordered, wanted)
+        return idx if element is None else element[idx]
+
+    luts = kernels.down_luts(p.down_masks)
     leq = np.empty((m, m), dtype=bool)
     join = np.empty((m, m), dtype=np.int32)
     meet = np.empty((m, m), dtype=np.int32)
@@ -137,12 +136,25 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
         inter = u & rest
         leq[lo:hi, lo:] = inter == rest  # U >= V as sets
         leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
-        join[lo:hi, lo:] = _index_of_masks(masks, inter)
+        join[lo:hi, lo:] = index(inter)
         join[hi:, lo:hi] = join[lo:hi, hi:].T
-        meet[lo:hi, lo:] = _index_of_masks(masks, u | rest)
+        meet[lo:hi, lo:] = index(u | rest)
         meet[hi:, lo:hi] = meet[lo:hi, hi:].T
-        imp[lo:hi] = _index_of_masks(masks, kernels.imp_masks(masks[lo:hi], masks, luts))
+        imp[lo:hi] = index(kernels.imp_masks(masks[lo:hi], masks, luts))
+    return leq, join, meet, imp
 
+
+def from_poset(p: Poset) -> BrouwerAlgebra:
+    """The algebra of up-closed subsets of p, ordered by reverse inclusion
+    and numbered by ascending mask: bottom = whole carrier, top = empty set.
+    The automorphisms of p, when it carries them, become element
+    permutations of the algebra."""
+    masks = open_sets(p)
+    m = len(masks)
+    if m > MAX_ALGEBRA_SIZE:
+        raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
+    auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
+    leq, join, meet, imp = _up_set_tables(p, masks)
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
         for u in masks.tolist()
@@ -311,9 +323,10 @@ def irreducibles(a: BrouwerAlgebra) -> tuple[list[int], list[int]]:
 
 def meet_irreducible_decomposition(a: BrouwerAlgebra, x: int) -> list[int]:
     """The unique antichain of meet-irreducibles whose meet is x
-    (the minimal meet-irreducibles above x)."""
+    (the minimal meet-irreducibles above x).  Algebras of up-sets are
+    distributive by construction; tables without a poset are checked."""
     x = a.check_element(x)
-    if not is_distributive(a):
+    if a.poset is None and not is_distributive(a):
         raise InputError("meet_irreducible_decomposition requires a distributive algebra")
     above = np.flatnonzero(a.leq[x] & _irreducible_masks(a)[0])
     minimal = above[a.leq[np.ix_(above, above)].sum(axis=0) == 1].tolist()
@@ -378,13 +391,13 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
 
     A finite distributive lattice is the algebra of up-sets of its
     join-irreducibles J (Birkhoff): each class becomes the up-set of the
-    members of J not below it, and the tables are those of ``from_poset``
-    on J, relabelled into class order.  Before any table, the quotient is
-    refused when J has more than ``MAX_POSET_SIZE`` elements, and when its
-    order is not a distributive lattice.  The operations come from the
-    quotient order alone (they are not transported), so the map
-    [b] |-> b x f onto the initial segment [0, f] is checked, as an
-    independent test, to be a bijective B-homomorphism.
+    members of J not below it, and the tables are built on those up-sets,
+    in class order.  Before any table, the quotient is refused when J has
+    more than ``MAX_POSET_SIZE`` elements, and when its order is not a
+    distributive lattice.  The operations come from the quotient order
+    alone (they are not transported), so the map [b] |-> b x f onto the
+    initial segment [0, f] is checked, as an independent test, to be a
+    bijective B-homomorphism.
     """
     f = a.check_element(f)
     _, first, value_class = np.unique(a.meet[:, f], return_index=True, return_inverse=True)
@@ -407,12 +420,8 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     if not (all((((ups[r, None] | ups) == ups[r, None]) == leq_q[r]).all() for r in bands)
             and np.array_equal(np.sort(ups), open_sets(j_poset))):
         raise InputError("quotient order has no unique bound (not a distributive lattice)")
-    j_algebra = from_poset(j_poset)
-    pos = np.searchsorted(j_algebra.open_masks, ups)  # class x is element pos[x]
-    rank = np.argsort(pos).astype(np.int32)           # element s is class rank[s]
-    join_q, meet_q, imp_q = (rank[t[pos][:, pos]]
-                             for t in (j_algebra.join, j_algebra.meet, j_algebra.imp))
-    del j_algebra  # its tables are as large as the factor's
+    # The tables' order is leq_q again; rebinding frees the first copy.
+    leq_q, join_q, meet_q, imp_q = _up_set_tables(j_poset, ups)
     bottom_q = int(class_of[a.bottom])
     top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
@@ -654,14 +663,9 @@ def algebra_to_json(a: BrouwerAlgebra) -> str:
 
 
 def algebra_to_dot(a: BrouwerAlgebra) -> str:
-    """Hasse diagram; meet-irreducible elements are drawn as boxes."""
+    """Hasse diagram; meet-irreducible elements are drawn as boxes, and the
+    bottom with a thick line."""
     boxed = _irreducible_masks(a)[0].tolist()
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i, label in enumerate(a.labels):
-        shape = "box" if boxed[i] else "ellipse"
-        extra = ", penwidth=2" if i == a.bottom else ""
-        lines.append(f'  n{i} [label="{label}", shape={shape}{extra}];')
-    for i, j in np.argwhere(cover_matrix(a.leq)):
-        lines.append(f"  n{int(i)} -> n{int(j)};")
-    lines.append("}")
-    return "\n".join(lines)
+    attrs = [(", shape=box" if boxed[i] else ", shape=ellipse")
+             + (", penwidth=2" if i == a.bottom else "") for i in range(a.size)]
+    return hasse_dot(a.leq, a.labels, "hasse", attrs)

@@ -17,13 +17,11 @@ import itertools
 import json
 import sys
 
-import numpy as np
-
 from . import algebra as alg
 from . import freedist as fd
 from . import logic as lg
 from . import poset as ps
-from .errors import InputError, MedlatError
+from .errors import InputError, MedlatError, ResourceLimitError
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -112,13 +110,7 @@ def cmd_countermodel(args) -> int:
             print(f"none within bound {args.max_size}")
         return EXIT_INVALID
     if args.dot:
-        lines = ["digraph poset {", "  rankdir=BT;"]
-        for i in range(res.poset.size):
-            lines.append(f'  n{i} [label="{res.poset.labels[i]}"];')
-        for i, j in np.argwhere(ps.cover_matrix(res.poset.leq)):
-            lines.append(f"  n{int(i)} -> n{int(j)};")
-        lines.append("}")
-        print("\n".join(lines))
+        print(ps.hasse_dot(res.poset.leq, res.poset.labels, "poset"))
     elif args.json:
         print(json.dumps({
             "found": True,
@@ -194,6 +186,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_export(args) -> int:
     a = resolve_algebra(args.algebra)
+    entries = 4 * a.size ** 2  # the four tables, as JSON lists
+    if not args.dot and entries > lg.evaluation_budget():
+        raise ResourceLimitError(f"JSON export of {a.provenance} holds {entries} table entries, "
+                                 f"more than the step budget {lg.evaluation_budget()}")
     text = alg.algebra_to_dot(a) if args.dot else alg.algebra_to_json(a)
     if args.output:
         with open(args.output, "w") as fh:
@@ -298,10 +294,13 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    if args.max_poset is not None:  # refused before any suite runs
+        ps.check_enumeration_bound(args.max_poset)
     failures = []
     for name in names:
         fn = SUITES[name]
-        fails = fn(args.max_poset) if name in ("factor", "kp") and args.max_poset else fn()
+        fails = (fn(args.max_poset) if name in ("factor", "kp") and args.max_poset is not None
+                 else fn())
         print(f"suite {name}: {'PASS' if not fails else 'FAIL'}"
               f" ({len(fails)} failures)")
         for msg in fails:

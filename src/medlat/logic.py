@@ -24,7 +24,7 @@ from .algebra import (
     from_poset,
 )
 from .errors import InputError, ResourceLimitError
-from .poset import ENUMERATION_CAP, Poset, enumerate_posets
+from .poset import Poset, check_enumeration_bound, enumerate_posets
 
 MAX_FORMULA_DEPTH = 64
 DEFAULT_BUDGET = 100_000_000
@@ -465,8 +465,6 @@ def lm_member(f: Formula, max_level: int, budget: int | None = None) -> LevelRep
         raise InputError("level must be >= 1")
     if max_level > BN_CAP:
         raise ResourceLimitError(f"level cap is {BN_CAP}")
-    if max_level == BN_CAP and len(variables(f)) > 1:
-        raise ResourceLimitError(f"level {BN_CAP} is only allowed for 1-variable formulas")
     rows = []
     ok = True
     for n in range(1, max_level + 1):
@@ -495,8 +493,7 @@ def countermodel_search(f: Formula, max_size: int,
     """Scan algebras of all posets with 1..max_size elements in canonical
     order; first countermodel wins.  Absence within the bound is NOT a
     validity proof."""
-    if max_size > ENUMERATION_CAP:
-        raise ResourceLimitError(f"poset size cap is {ENUMERATION_CAP}")
+    check_enumeration_bound(max_size)
     for n in range(1, max_size + 1):
         for p in enumerate_posets(n):
             a = from_poset(p)
@@ -614,8 +611,7 @@ def kp_class_check(max_size: int, budget: int | None = None) -> KpClassReport:
     every-negation-meet-irreducible predicate and report where KP fails on
     the positive class.  It fails nowhere up to size 6, and on one algebra
     of size-7 posets, B(P7.1924).  KP on the negative class is only reported."""
-    if max_size > ENUMERATION_CAP:
-        raise ResourceLimitError(f"poset size cap is {ENUMERATION_CAP}")
+    check_enumeration_bound(max_size)
     kp = axiom("kp")
     pos, negl, fails, nkv, nki = [], [], [], [], []
     for n in range(1, max_size + 1):

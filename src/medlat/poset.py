@@ -48,6 +48,18 @@ def cover_matrix(leq: np.ndarray) -> np.ndarray:
     return lt & ~_bool_square(lt)
 
 
+def hasse_dot(leq: np.ndarray, labels, graph: str, attrs=None) -> str:
+    """The Hasse diagram of an order as a DOT digraph named graph, drawn
+    bottom to top; attrs[i], when given, extends node i's attribute list."""
+    lines = [f"digraph {graph} {{", "  rankdir=BT;"]
+    for i, label in enumerate(labels):
+        lines.append(f'  n{i} [label="{label}"{attrs[i] if attrs else ""}];')
+    for i, j in np.argwhere(cover_matrix(leq)):
+        lines.append(f"  n{int(i)} -> n{int(j)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def single_covers(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the elements with exactly one lower cover and with exactly
     one upper cover, in O(m^2).  x has one lower cover iff some y < x has one
@@ -281,12 +293,17 @@ def _enumerate_canonical(n: int) -> tuple[bytes, ...]:
     return tuple(sorted(seen))
 
 
-def enumerate_posets(n: int) -> list[Poset]:
-    """One representative per isomorphism class of n-element posets."""
+def check_enumeration_bound(n: int) -> None:
+    """Refuse a poset size bound below 1 or above ``ENUMERATION_CAP``."""
     if n < 1:
-        raise InputError("enumerate_posets needs n >= 1")
+        raise InputError(f"the poset size bound must be at least 1, got {n}")
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(f"poset enumeration cap is {ENUMERATION_CAP}, got n={n}")
+
+
+def enumerate_posets(n: int) -> list[Poset]:
+    """One representative per isomorphism class of n-element posets."""
+    check_enumeration_bound(n)
     out = []
     for k, key in enumerate(_enumerate_canonical(n)):
         leq = np.frombuffer(key, dtype=np.uint8).reshape(n, n).astype(bool)

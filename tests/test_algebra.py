@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poset
+from medlat import algebra
 from medlat.algebra import (
     AlgebraMap,
     algebra_to_dict,
@@ -157,12 +158,14 @@ def test_validate_cap():
 
 def test_distributivity_check_cap():
     """The distributivity check builds (m, m, m) arrays, so it is refused
-    above VALIDATE_CAP before any of them, whoever calls it."""
+    above VALIDATE_CAP before any of them, whoever calls it.  The
+    decomposition checks only tables without a poset."""
     a = from_poset(antichain_poset(9))  # 512 elements
     with pytest.raises(ResourceLimitError, match="512 elements"):
         is_distributive(a)
+    copy = from_tables(a.leq, a.join, a.meet, a.imp, a.bottom, a.top)
     with pytest.raises(ResourceLimitError, match="512 elements"):
-        meet_irreducible_decomposition(a, 0)
+        meet_irreducible_decomposition(copy, 0)
 
 
 def test_from_poset_refuses_oversized_algebra():
@@ -225,8 +228,14 @@ def test_irreducibles_match_the_table_definition():
         assert joins == [x for x in range(a.size) if _irreducible_oracle(a, x, "join")]
 
 
-def test_meet_decomposition_recovers_element():
-    for a in (bn(2), bn(3), chain_algebra(4)):
+def test_meet_decomposition_recovers_element(monkeypatch):
+    """Algebras of up-sets are distributive by construction, so their
+    decomposition runs no distributivity check: all 167 elements of bn(4)
+    decompose with the check made to fail."""
+    def no_check(a):
+        raise AssertionError("the distributivity check ran")
+    monkeypatch.setattr("medlat.algebra._distributivity_witness", no_check)
+    for a in (bn(2), bn(3), bn(4), chain_algebra(4)):
         for x in range(a.size):
             dec = meet_irreducible_decomposition(a, x)
             acc = a.top
@@ -488,7 +497,7 @@ def test_factor_of_an_order_that_is_no_distributive_lattice_is_refused(monkeypat
     two non-distributive five-element lattices have too few elements for
     that, and the cut cube has the elements but not the order.  Each is
     refused before any table."""
-    monkeypatch.setattr("medlat.algebra.from_poset", _no_tables)
+    monkeypatch.setattr("medlat.algebra._up_set_tables", _no_tables)
     with pytest.raises(InputError, match="no unique bound"):
         factor_by_principal_filter(_order_by_its_top(leq), len(leq) - 1)
 
@@ -503,9 +512,31 @@ def test_factor_with_too_many_join_irreducibles_is_refused(monkeypatch):
     a = from_tables(leq, np.maximum.outer(ar, ar), np.minimum.outer(ar, ar), imp,
                     bottom=0, top=65)
     assert validate(a) == []
-    monkeypatch.setattr("medlat.algebra.from_poset", _no_tables)
+    monkeypatch.setattr("medlat.algebra._up_set_tables", _no_tables)
     with pytest.raises(ResourceLimitError, match="65 join-irreducibles"):
         factor_by_principal_filter(a, a.top)
+
+
+def test_factor_builds_its_tables_once_from_the_class_up_sets(monkeypatch):
+    """A factor's tables are built straight in class order: no algebra of
+    its join-irreducibles is built, and their up-sets are enumerated once
+    per factor, for the check that the classes are all of them."""
+    cases = (bn(3), free_algebra(3)[0])  # built before from_poset is patched
+    monkeypatch.setattr("medlat.algebra.from_poset", _no_tables)
+    calls = []
+    real_open_sets = algebra.open_sets
+
+    def counting(p):
+        calls.append(p.name)
+        return real_open_sets(p)
+
+    monkeypatch.setattr("medlat.algebra.open_sets", counting)
+    for a in cases:
+        for f in range(a.size):
+            calls.clear()
+            res = factor_by_principal_filter(a, f)
+            assert res.degenerate or res.iso_to_initial_segment is not None
+            assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

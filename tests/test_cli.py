@@ -294,6 +294,35 @@ def test_verify_kp_stops_at_poset_size_6(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "kp", "--max-poset", "-1"),
+    ("verify", "kp", "--max-poset", "0"),
+    ("verify", "factor", "--max-poset", "0"),
+    ("verify", "all", "--max-poset", "0"),
+    ("countermodel", "p", "--max-size", "0"),
+])
+def test_bounds_below_1_exit_2(capsys, argv):
+    """A bound that admits no poset is an input error, before any suite
+    runs: not a PASS that checked nothing, not the default bound, and not
+    "none within bound"."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget,expected", [("1000", 2), ("1443", 2), ("1444", 0)])
+def test_json_export_is_refused_above_the_budget(capsys, monkeypatch, budget, expected):
+    """bn:3 has 19 elements, so its JSON holds 4 x 19^2 = 1444 table entries;
+    a smaller MEDLAT_BUDGET refuses the export before the lists are built."""
+    monkeypatch.setenv("MEDLAT_BUDGET", budget)
+    rc, out, err = run(capsys, "export", "--algebra", "bn:3", "--json")
+    assert rc == expected
+    if expected == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["size"] == 19
+
+
+@pytest.mark.parametrize("argv", [
     ("countermodel", "p", "--parallel", "2"),
     ("verify", "iso", "--parallel", "2"),
     ("enumerate", "--posets", "2", "--parallel", "2"),

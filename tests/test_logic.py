@@ -347,8 +347,17 @@ def test_lm_member_kp():
 def test_lm_member_caps():
     with pytest.raises(ResourceLimitError):
         lm_member(axiom("kp"), 6)
-    with pytest.raises(ResourceLimitError):
-        lm_member(axiom("lin"), 5)  # 2 variables at level 5
+    with pytest.raises(ResourceLimitError, match="budget"):
+        lm_member(axiom("lin"), 5)  # 7,580^2 valuations x 7 steps on bn(5)
+
+
+def test_lm_member_answers_two_variables_at_level_5_within_the_budget():
+    """The step budget alone decides how far a formula is scanned."""
+    rep = lm_member(axiom("lin"), 5, budget=10**9)
+    assert [n for n, _ in rep.levels] == [1, 2, 3, 4, 5]
+    top = rep.levels[-1][1]
+    assert top.valid is False and top.mode == "exhaustive"
+    assert rep.in_all_levels is False
 
 
 def test_countermodel_search_bound_note():
