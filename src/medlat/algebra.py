@@ -81,11 +81,55 @@ def neg(a: BrouwerAlgebra, x: int) -> int:
 # construction from a poset
 # ---------------------------------------------------------------------------
 
-def _index_of_masks(sorted_masks: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(sorted_masks, wanted)
-    if not (sorted_masks[idx] == wanted).all():
-        raise InputError("internal: mask not found among open sets")
-    return idx.astype(np.int32)
+def _position_tables(masks: np.ndarray, width: int) -> list[np.ndarray]:
+    """Byte-radix tables that map each of the distinct masks (bits below
+    width) to its position in the list, in whatever order it is given.
+
+    A lookup reads one byte of the wanted mask per table, the most
+    significant of its ceil(width / 8) bytes first.  The first table is
+    indexed by that byte alone; each later one is a raveled (nodes + 1) x 256
+    table indexed by node * 256 + byte, whose last row is a dead node that
+    no mask reaches.  A byte no mask has at a node leads to the dead node,
+    and in the last table, which holds the positions, to -1.  So the tables
+    hold at most ceil(width / 8) * (len(masks) + 1) * 256 int32 entries, and
+    node * 256 + byte fits an int32: ``open_sets`` lists at most 2**20 masks."""
+    nbytes = max(1, -(-width // 8))
+    masks = masks.astype("<u8")
+    byte = masks.view(np.uint8).reshape(-1, 8)  # byte b holds bits 8b..8b+7
+    node, rows = 0, 1  # the root table has no dead row
+    tables = []
+    for b in range(nbytes - 1, -1, -1):
+        if b:
+            prefixes, child = np.unique(masks >> np.uint64(8 * b), return_inverse=True)
+            dead = len(prefixes)
+        else:
+            child, dead = np.arange(len(masks), dtype=np.int32), -1
+        t = np.full(rows * 256, dead, dtype=np.int32)
+        key = node * 256 + byte[:, b]
+        t[key] = child
+        tables.append(t)
+        node, rows = child, dead + 1
+    if (t[key] != child).any():  # a later copy of a mask took its place
+        raise InputError("internal: the masks are not distinct")
+    return tables
+
+
+def _index_of_masks(tables: list[np.ndarray], wanted: np.ndarray) -> np.ndarray:
+    """The int32 positions of the wanted masks in the list that
+    ``_position_tables`` was built on; a mask not in it is refused."""
+    nbytes = len(tables)
+    wanted = wanted.astype("<u8", copy=False)
+    if int(wanted.max(initial=0)) >> 8 * nbytes:  # a byte no table reads
+        raise InputError("internal: mask not found among the up-sets")
+    byte = wanted.view(np.uint8).reshape(wanted.shape + (8,))
+    idx = tables[0].take(byte[..., nbytes - 1])
+    for b, t in zip(range(nbytes - 2, -1, -1), tables[1:]):
+        idx <<= 8
+        idx |= byte[..., b]
+        idx = t.take(idx, mode="clip")  # in range: a node is at most the dead row
+    if idx.min(initial=0) < 0:
+        raise InputError("internal: mask not found among the up-sets")
+    return idx
 
 
 def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
@@ -104,23 +148,17 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     one = np.uint64(1)
     images = np.stack([kernels.lut_union(masks, kernels.down_luts(one << s.astype(np.uint64)))
                        for s in sigma])
-    return _index_of_masks(masks, images)
+    return _index_of_masks(_position_tables(masks, n), images)
 
 
 def _up_set_tables(p: Poset, masks: np.ndarray):
     """leq, join, meet and imp of the algebra of all up-sets of p, element i
     being masks[i], in any order: join = intersection, meet = union, and
     U -> V = {a : [a) & U <= V}, filled a band of about ``_TABLE_BLOCK``
-    entries at a time.  A mask is found by binary search in sorted order;
-    unsorted masks map that position back through one permutation."""
+    entries at a time.  A result mask is turned back into its element by
+    the byte-radix tables of ``_position_tables``."""
     m = len(masks)
-    element = None if (masks[1:] > masks[:-1]).all() else np.argsort(masks).astype(np.int32)
-    ordered = masks if element is None else masks[element]
-
-    def index(wanted):
-        idx = _index_of_masks(ordered, wanted)
-        return idx if element is None else element[idx]
-
+    tables = _position_tables(masks, p.size)
     luts = kernels.down_luts(p.down_masks)
     leq = np.empty((m, m), dtype=bool)
     join = np.empty((m, m), dtype=np.int32)
@@ -136,11 +174,11 @@ def _up_set_tables(p: Poset, masks: np.ndarray):
         inter = u & rest
         leq[lo:hi, lo:] = inter == rest  # U >= V as sets
         leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
-        join[lo:hi, lo:] = index(inter)
+        join[lo:hi, lo:] = _index_of_masks(tables, inter)
         join[hi:, lo:hi] = join[lo:hi, hi:].T
-        meet[lo:hi, lo:] = index(u | rest)
+        meet[lo:hi, lo:] = _index_of_masks(tables, u | rest)
         meet[hi:, lo:hi] = meet[lo:hi, hi:].T
-        imp[lo:hi] = index(kernels.imp_masks(masks[lo:hi], masks, luts))
+        imp[lo:hi] = _index_of_masks(tables, kernels.imp_masks(masks[lo:hi], masks, luts))
     return leq, join, meet, imp
 
 

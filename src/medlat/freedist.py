@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import BrouwerAlgebra, bn
-from .algebra import AlgebraMap, is_b_homomorphism
+from .algebra import AlgebraMap, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
 FREE_CAP = 5
@@ -222,9 +222,10 @@ def iso_to_bn(n: int) -> tuple[AlgebraMap, tuple[FreeElement, ...]]:
             f"size mismatch: |free({n})|={falg.size} but |bn({n})|={balg.size}")
     masks = balg.open_masks
     wanted = np.array([free_to_open_mask(e) for e in elems], dtype=np.uint64)
-    image = np.searchsorted(masks, wanted).astype(np.int32)
-    if not (masks[image] == wanted).all():
-        raise MedlatError("transported element is not an open set")
+    try:
+        image = _index_of_masks(_position_tables(masks, balg.poset.size), wanted)
+    except InputError:
+        raise MedlatError("transported element is not an open set") from None
     amap = AlgebraMap(falg, balg, image)
     if not amap.is_bijective():
         raise MedlatError("transport map is not bijective")

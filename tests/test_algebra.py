@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -78,6 +79,74 @@ def test_chain_algebra_is_linear():
     assert a.size == 4
     assert validate(a) == []
     assert (a.leq | a.leq.T).all()
+
+
+# The element numbering of bn(1..5) that fixtures and tests name: sha256 of
+# leq, join, meet, imp, open_masks and automorphisms, each with its dtype and
+# shape, as computed with the binary-search index the position tables replace.
+BN_NUMBERING_SHA256 = {
+    1: "ab9b5d3c0bd98b30f5532749cd9bc8ad8d13d6227dbb72ebc2084ab84a3be442",
+    2: "714f24a6eed0f277934a5aff970171d93ac27d4a31e52de48858c5b6d536012d",
+    3: "5f056e6237a2c6737ee6f1501980b80baaa06cb46da3a77ae32694edcf74923d",
+    4: "6a1cb4acbf7aa33056ef5427c9480ffe84740fad8985c80e2ebda1b1588f2186",
+    5: "3a1fb3ba1bf57c62aa457fce26b96a9b169b4e42b17e0e7560e3217a3e0d0ff0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BN_NUMBERING_SHA256))
+def test_bn_numbering_is_frozen(n):
+    a = bn(n)  # bn(5) is built once per process: bn is cached
+    h = hashlib.sha256()
+    for t in (a.leq, a.join, a.meet, a.imp, a.open_masks, a.automorphisms):
+        h.update(f"{t.dtype}{t.shape}".encode())
+        h.update(np.ascontiguousarray(t).data)
+    assert h.hexdigest() == BN_NUMBERING_SHA256[n]
+
+
+def _mask_list(width, rng):
+    """Distinct masks below 2**width, mask 0 among them, at least one
+    value below 2**width left out."""
+    drawn = {0}
+    while len(drawn) < min((1 << width) - 1, 300):
+        drawn.add(int(rng.integers(0, 1 << 64, dtype=np.uint64)) >> (64 - width))
+    return sorted(drawn)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 63, 64])
+def test_mask_positions_match_a_dict(width, shuffled):
+    """The byte-radix position tables against a dict from mask to position,
+    on sorted and shuffled lists; a mask not in the list is refused, inside
+    the width and with a bit at or above it."""
+    rng = np.random.default_rng(width)
+    values = _mask_list(width, rng)
+    if shuffled:
+        values = [values[i] for i in rng.permutation(len(values))]
+    masks = np.array(values, dtype=np.uint64)
+    oracle = {v: i for i, v in enumerate(values)}
+    tables = algebra._position_tables(masks, width)
+    assert len(tables) == max(1, -(-width // 8))
+    found = algebra._index_of_masks(tables, masks)
+    assert found.dtype == np.int32 and found.tolist() == list(range(len(values)))
+    pick = rng.integers(0, len(values), (7, 11))
+    assert algebra._index_of_masks(tables, masks[pick]).tolist() == \
+        [[oracle[values[i]] for i in row] for row in pick.tolist()]
+    # inside the width: the lowest bit of a listed mask flipped, which
+    # leaves the tables only at the last byte, and the least unlisted value
+    inside = [values[-1] ^ 1, next(v for v in range(1 << width) if v not in oracle)]
+    above = [values[-1] | 1 << bit for bit in (width, 8 * len(tables), 63) if width <= bit < 64]
+    absent = [v for v in inside if v not in oracle] + above
+    assert len(absent) >= 1 + (width < 64)
+    for v in absent:
+        wanted = masks.copy()
+        wanted[len(values) // 2] = v
+        with pytest.raises(InputError, match="not found"):
+            algebra._index_of_masks(tables, wanted)
+
+
+def test_mask_positions_refuse_a_repeated_mask():
+    with pytest.raises(InputError, match="not distinct"):
+        algebra._position_tables(np.array([0, 5, 3, 5], dtype=np.uint64), 3)
 
 
 def test_random_algebras_validate():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,21 @@ def test_verify_iso_reports_a_size_mismatch(capsys, monkeypatch):
     monkeypatch.setattr("medlat.freedist.bn", lambda n: chain_algebra(n + 2))
     rc, out, _ = run(capsys, "verify", "iso")
     assert rc == 1 and "iso failure at n=1: size mismatch" in out
+
+
+def test_verify_arrow_reports_a_broken_implication(capsys, monkeypatch):
+    """One wrong implication entry in the target is a failure of the suite
+    (exit 1), not an error."""
+    def tampered(n):
+        a = bn(n)
+        imp = a.imp.copy()
+        imp[0, 0] = (imp[0, 0] + 1) % a.size
+        return replace(a, imp=imp)
+
+    monkeypatch.setattr("medlat.freedist.bn", tampered)
+    rc, out, err = run(capsys, "verify", "arrow")
+    assert rc == 1 and "suite arrow: FAIL" in out and not err
+    assert "fails to preserve imp" in out
 
 
 def test_verify_kp_stops_at_poset_size_6(capsys):
