@@ -162,8 +162,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Formula:
+    """The formula of text.  Equal subformulas are one shared node, so a
+    parsed formula holds only its distinct subformulas."""
     toks = _tokenize(text)
     pos = [0]
+    shared: dict = {}  # variable name, or (class, *ids of the parts) -> node
+
+    def node(cls, *parts) -> Formula:
+        # The parts are shared already, so their identities name the node;
+        # shared keeps them alive, and their ids unique, while the parse runs.
+        key = (cls, *map(id, parts))
+        out = shared.get(key)
+        if out is None:
+            out = shared[key] = cls(*parts)
+        return out
 
     def peek():
         return toks[pos[0]]
@@ -179,37 +191,40 @@ def parse(text: str) -> Formula:
         left = p_or()
         if peek()[0] == "->":
             take("->")
-            return Imp(left, p_imp())
+            return node(Imp, left, p_imp())
         return left
 
     def p_or() -> Formula:
         out = p_and()
         while peek()[0] == "|":
             take("|")
-            out = Or(out, p_and())
+            out = node(Or, out, p_and())
         return out
 
     def p_and() -> Formula:
         out = p_not()
         while peek()[0] == "&":
             take("&")
-            out = And(out, p_not())
+            out = node(And, out, p_not())
         return out
 
     def p_not() -> Formula:
         if peek()[0] == "~":
             take("~")
-            return Not(p_not())
+            return node(Not, p_not())
         return p_atom()
 
     def p_atom() -> Formula:
         kind, val, at = peek()
         if kind == "var":
             take("var")
-            return Var(val)
+            out = shared.get(val)
+            if out is None:
+                out = shared[val] = Var(val)
+            return out
         if kind == "const":
             take("const")
-            return Top() if val == "T" else Bot()
+            return node(Top if val == "T" else Bot)
         if kind == "(":
             take("(")
             out = p_imp()

@@ -95,6 +95,24 @@ def test_variables_sorted():
     assert variables(parse("T | F")) == []
 
 
+def test_parse_shares_equal_subformulas():
+    text = "(p -> q) & (p -> q) | ~(p -> q) & T & T"
+    f = parse(text)
+    pq = Imp(Var("p"), Var("q"))
+    tree = Or(And(pq, Imp(Var("p"), Var("q"))),
+              And(And(Not(Imp(Var("p"), Var("q"))), Top()), Top()))
+    assert f == tree
+    assert f.left.left is f.left.right is f.right.left.left.sub
+    assert f.right.left.right is f.right.right
+    assert f.left.left.left is f.right.left.left.sub.left
+    a = bn(2)
+    for got, want in zip(logic.compile_formula(f, a, ["p", "q"]),
+                         logic.compile_formula(tree, a, ["p", "q"])):
+        np.testing.assert_array_equal(got, want)
+    assert render(f) == render(tree)
+    assert parse(text) is not f  # no state outlives a parse
+
+
 _formula = st.recursive(
     st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bot()]),
     lambda sub: st.one_of(
