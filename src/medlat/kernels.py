@@ -1,17 +1,23 @@
 """Numeric kernels: valuation-space scanning and up-set implication.
 
-Formulas are compiled to postfix programs over small int arrays so the
-kernels never touch Python objects:
+A formula reaches the kernels as a node list (``logic.compile_formula``):
+one ``(op, x, y)`` triple per distinct subterm, in topological order, so
+every operand comes before the nodes that read it and the root is last.
 
-    opcode 0: push variable arg          3: pop two, push meet[x, y]
-    opcode 1: push constant element arg  4: pop two, push imp[x, y]
-    opcode 2: pop two, push join[x, y]
+    op 0: variable x                      op 2: join[x, y]
+    op 1: the bottom (x = 0) or top (1)   op 3: meet[x, y]
+                                          op 4: imp[x, y]
+
+An operator's x and y are node indices.  The constants are symbolic: the
+kernel reads the bottom and top off the algebra it scans, so one node list
+serves every algebra.
 
 ``_run`` is the one interpreter, and ``evaluate`` its public form.  Its
 leaves are one int array per variable, and the arrays broadcast against
-each other: each binary opcode is one table lookup on ``x * m + y``, so a
-subterm's array carries only the axes of the variables it contains, and a
-constant stays a scalar.
+each other: each operator node is one table lookup on ``x * m + y``, so a
+node's array carries only the axes of the variables it contains, and a
+constant stays a scalar.  A node's value is dropped after its last reader,
+so a run holds only the values that are still to be read.
 
 ``first_fail`` scans valuation indices in mixed radix, the first variable
 most significant.  The trailing j variables, the most with m**j <= _BLOCK,
@@ -24,19 +30,19 @@ columns.  The root, broadcast to (c, m, ..., m), holds the step's
 valuations in index order; a range that starts or ends inside a block is
 sliced out of it.
 
-Two things make a scan with leading variables cheaper.  Every maximal
-subterm without a leading variable has the same value in every block, so it
-is evaluated once per scan, over the trailing axes, and the block loop
-reads it as an extra leaf.  And when the algebra has automorphisms (each
-one a permutation g of its elements, such as the lifted permutations of
-{0..n-1} on ``bn(n)``), a formula fails at a valuation v iff it fails at
-g(v), so the block of leading values t fails iff the block of g(t) does.
-The scan skips block t when some g(t) is an earlier block that lies wholly
-inside [start, stop).  The same call scans that block (or, if it was
-skipped too, an earlier block of its orbit) before t or in the same step,
-so a failure in t would follow an earlier one and the least failing index
-is unchanged.  So a scan of a sub-range of the space skips only blocks
-whose image lies inside that range.
+Two things make a scan with leading variables cheaper.  A node that reads
+no leading variable, itself or through its operands, has the same value in
+every block: these scan-invariant nodes run once per scan, over the
+trailing axes, and only the other nodes run per block.  And when the
+algebra has automorphisms (each one a permutation g of its elements, such
+as the lifted permutations of {0..n-1} on ``bn(n)``), a formula fails at a
+valuation v iff it fails at g(v), so the block of leading values t fails
+iff the block of g(t) does.  The scan skips block t when some g(t) is an
+earlier block that lies wholly inside [start, stop).  The same call scans
+that block (or, if it was skipped too, an earlier block of its orbit)
+before t or in the same step, so a failure in t would follow an earlier one
+and the least failing index is unchanged.  So a scan of a sub-range of the
+space skips only blocks whose image lies inside that range.
 
 ``imp_masks`` computes one block of the implication of an up-set algebra on
 bitmasks, ``U -> V = P \\ down(U \\ V)``.  The down-closure is a union of
@@ -62,69 +68,58 @@ def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
     return (idx[:, None] // radix[None, :]) % m
 
 
-def _program(ops, args) -> tuple[list[int], list[int]]:
-    return np.asarray(ops).tolist(), np.asarray(args).tolist()
-
-
-def _run(prog, leaves, tables, m):
-    """The postfix interpreter over a program (opcodes, args) of lists;
-    tables[op] is the raveled table of a binary opcode."""
-    stack = []
-    for op, arg in zip(*prog):
-        if op == OP_VAR:
-            stack.append(leaves[arg])
-        elif op == OP_CONST:
-            stack.append(arg)
+def _programs(nodes, lead):
+    """The two programs of a scan whose variables below lead are leading:
+    the steps (i, op, x, y, dead) of the scan-invariant operator nodes, and
+    those of the nodes that read a leading variable, each in order.  dead
+    lists the operands whose value can go once node i, their last reader,
+    has run; a scan-invariant node that a block reads stays for every block."""
+    block, last, keep = [], {}, set()  # block[i]: node i reads a leading variable
+    for i, (op, x, y) in enumerate(nodes):
+        if op > OP_CONST:
+            last[x] = last[y] = i
+            block.append(block[x] or block[y])
+            if block[i]:
+                keep.update((x, y))
         else:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(tables[op].take(a * m + b))
-    return stack[0]
+            block.append(op == OP_VAR and x < lead)
+    progs = ([], [])
+    for i, (op, x, y) in enumerate(nodes):
+        if op > OP_CONST:
+            dead = [d for d in {x, y} if last[d] == i and (block[i] or d not in keep)]
+            progs[block[i]].append((i, op, x, y, dead))
+    return progs
 
 
-def evaluate(ops, args, leaves, join, meet, imp):
-    """Value of a postfix program with leaves[i] as the value of variable i.
+def _leaves(nodes, leaves, bottom, top):
+    """The values by node before a run: leaves[x] for variable x, the
+    element of each constant, None for the operators."""
+    consts = (bottom, top)
+    return [leaves[x] if op == OP_VAR else consts[x] if op == OP_CONST else None
+            for op, x, _ in nodes]
+
+
+def _run(steps, vals, tables, m):
+    """The interpreter: runs a program of ``_programs`` on vals, the values by
+    node, in place; tables[op] is the raveled table of an operator.  Returns
+    the root's value, or None if the root has none yet."""
+    for i, op, x, y, dead in steps:
+        vals[i] = tables[op].take(vals[x] * m + vals[y])
+        for d in dead:
+            vals[d] = None
+    return vals[-1]
+
+
+def evaluate(nodes, leaves, join, meet, imp, bottom, top):
+    """Value of a node list's root with leaves[i] as the value of variable i.
 
     The leaves are int arrays that broadcast against each other; the result
-    has the shape the leaves of the program's variables broadcast to, and is
-    a scalar for a program without variables.
+    has the shape the leaves of the formula's variables broadcast to, and is
+    a scalar for a formula without variables.
     """
     tables = (None, None, join.ravel(), meet.ravel(), imp.ravel())
-    return _run(_program(ops, args), leaves, tables, join.shape[0])
-
-
-def _hoist(prog, lead: int, nvars: int):
-    """Split a program into the maximal subterms that have an operator and
-    no leading variable (index below ``lead``), and the program that reads
-    the h-th of them as variable nvars + h.  Returns (program, subterms)."""
-    hoisted = []
-
-    def as_leaf(frag):
-        if len(frag) == 1:  # a variable or a constant costs nothing to redo
-            return frag
-        hoisted.append(frag)
-        return [(OP_VAR, nvars + len(hoisted) - 1)]
-
-    stack = []  # (fragment as (op, arg) pairs, contains a leading variable)
-    for op, arg in zip(*prog):
-        if op == OP_VAR:
-            stack.append(([(op, arg)], arg < lead))
-        elif op == OP_CONST:
-            stack.append(([(op, arg)], False))
-        else:
-            b, b_lead = stack.pop()
-            a, a_lead = stack.pop()
-            if a_lead or b_lead:
-                a = a if a_lead else as_leaf(a)
-                b = b if b_lead else as_leaf(b)
-            stack.append((a + b + [(op, arg)], a_lead or b_lead))
-    frag, has_lead = stack[0]
-    frag = frag if has_lead else as_leaf(frag)
-    return _unzip(frag), [_unzip(h) for h in hoisted]
-
-
-def _unzip(pairs):
-    return [op for op, _ in pairs], [arg for _, arg in pairs]
+    vals = _leaves(nodes, leaves, bottom, top)
+    return _run(_programs(nodes, 0)[0], vals, tables, join.shape[0])
 
 
 def _trailing(nvars: int, m: int) -> int:
@@ -142,23 +137,23 @@ def scan_block(nvars: int, m: int) -> int:
     return m ** _trailing(nvars, m)
 
 
-def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop,
+def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
                automorphisms=None):
-    """Least valuation index in [start, stop) where the program does not hit
-    the designated element, or -1.  ``automorphisms``, a (g, m) array of
-    element permutations that preserve the operations and fix the
-    designated element, lets the scan skip blocks (see the module notes)."""
+    """Least valuation index in [start, stop) where the root of the node list
+    does not hit the bottom, the designated element, or -1.
+    ``automorphisms``, a (g, m) array of element permutations that preserve
+    the operations and fix the bottom, lets the scan skip blocks (see the
+    module notes)."""
     j = _trailing(nvars, m)
     inner = m ** j
     lead = nvars - j
     tables = (None, None, join.ravel(), meet.ravel(), imp.ravel())
     trailing = [np.arange(m).reshape((1,) * (1 + t) + (m,) + (1,) * (j - 1 - t))
                 for t in range(j)]
-    prog = _program(ops, args)
-    shared = trailing  # the leaves every block reads
-    if lead:
-        prog, hoisted = _hoist(prog, lead, nvars)
-        shared = trailing + [_run(h, [None] * lead + trailing, tables, m) for h in hoisted]
+    shared_prog, prog = _programs(nodes, lead)
+    shared = _leaves(nodes, [None] * lead + trailing, bottom, top)
+    _run(shared_prog, shared, tables, m)
+    columns = [(i, x) for i, (op, x, _) in enumerate(nodes) if op == OP_VAR and x < lead]
     auts = automorphisms if lead else None
     if auts is not None:
         radix = m ** np.arange(lead - 1, -1, -1, dtype=np.int64)
@@ -168,7 +163,7 @@ def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop,
     for b in range(start // inner, end, per_step):
         c = min(per_step, end - b)
         blocks = range(b, b + c)
-        leaves = shared
+        vals = shared
         if lead:
             idx = np.arange(b, b + c, dtype=np.int64)
             digits = valuation_digits(idx, lead, m)
@@ -178,8 +173,10 @@ def first_fail(ops, args, nvars, m, join, meet, imp, designated, start, stop,
                 if not keep.any():
                     continue
                 blocks, digits = idx[keep].tolist(), digits[keep]
-            leaves = [col.reshape((len(blocks),) + (1,) * j) for col in digits.T] + shared
-        fails = np.asarray(_run(prog, leaves, tables, m) != designated)
+            vals = shared.copy()
+            for i, x in columns:
+                vals[i] = digits[:, x].reshape((len(blocks),) + (1,) * j)
+        fails = np.asarray(_run(prog, vals, tables, m) != bottom)
         if not fails.any():
             continue
         fails = np.broadcast_to(fails, (len(blocks),) + (m,) * j).ravel()

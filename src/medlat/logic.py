@@ -91,19 +91,19 @@ class Imp(Formula):
 
 
 def variables(f: Formula) -> list[str]:
-    seen: set[str] = set()
+    seen: dict[int, Formula] = {}  # the subformulas walked, by id: a shared one once
 
     def walk(g):
-        if isinstance(g, Var):
-            seen.add(g.name)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
+        if id(g) not in seen:
+            seen[id(g)] = g
+            if isinstance(g, Not):
+                walk(g.sub)
+            elif isinstance(g, (And, Or, Imp)):
+                walk(g.left)
+                walk(g.right)
 
     walk(f)
-    return sorted(seen)
+    return sorted({g.name for g in seen.values() if isinstance(g, Var)})
 
 
 def depth(f: Formula) -> int:
@@ -292,41 +292,40 @@ def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int]) -> in
     return go(f)
 
 
-def compile_formula(f: Formula, a: BrouwerAlgebra, var_order: list[str]):
-    """Postfix program over the kernel opcodes."""
-    slot = {v: i for i, v in enumerate(var_order)}
-    ops: list[int] = []
-    args: list[int] = []
+_OPS = {And: kernels.OP_JOIN, Or: kernels.OP_MEET, Imp: kernels.OP_IMP}
 
-    def go(g):
-        if isinstance(g, Var):
-            ops.append(kernels.OP_VAR)
-            args.append(slot[g.name])
-        elif isinstance(g, Top):
-            ops.append(kernels.OP_CONST)
-            args.append(a.bottom)
-        elif isinstance(g, Bot):
-            ops.append(kernels.OP_CONST)
-            args.append(a.top)
-        elif isinstance(g, Not):
-            go(g.sub)
-            ops.append(kernels.OP_CONST)
-            args.append(a.top)
-            ops.append(kernels.OP_IMP)
-            args.append(0)
-        else:
-            go(g.left)
-            go(g.right)
-            if isinstance(g, And):
-                ops.append(kernels.OP_JOIN)
-            elif isinstance(g, Or):
-                ops.append(kernels.OP_MEET)
+
+def compile_formula(f: Formula, var_order: list[str]):
+    """The node list of f for the kernels and its postfix length: one
+    (op, x, y) triple per distinct subterm of f, equal subterms merged even
+    where f does not share them, every operand before its readers and the
+    root last.  A variable's x is its position in var_order, a constant's x
+    is 0 for the bottom (T) and 1 for the top (F), and ~g is g -> F.  The
+    postfix length counts the leaves and operators of f as a tree."""
+    slot = {v: i for i, v in enumerate(var_order)}
+    index: dict[tuple[int, int, int], int] = {}  # node -> its position, in order
+    sizes: list[int] = []  # postfix length by node
+    seen: dict[int, int] = {}  # id of a subformula of f -> its node
+    false = Bot()  # the top that negation reads
+
+    def go(g) -> int:
+        i = seen.get(id(g))
+        if i is None:
+            if isinstance(g, Var):
+                key = (kernels.OP_VAR, slot[g.name], 0)
+            elif isinstance(g, Not):
+                key = (kernels.OP_IMP, go(g.sub), go(false))
+            elif isinstance(g, (Top, Bot)):
+                key = (kernels.OP_CONST, int(isinstance(g, Bot)), 0)
             else:
-                ops.append(kernels.OP_IMP)
-            args.append(0)
+                key = (_OPS[type(g)], go(g.left), go(g.right))
+            i = seen[id(g)] = index.setdefault(key, len(index))
+            if i == len(sizes):
+                sizes.append(1 if key[0] <= kernels.OP_CONST else sizes[key[1]] + sizes[key[2]] + 1)
+        return i
 
     go(f)
-    return np.array(ops, dtype=np.int64), np.array(args, dtype=np.int64)
+    return tuple(index), sizes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +376,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     total = m ** k
     if total > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{m}^{k} valuations do not fit in int64 indices")
-    ops, args = compile_formula(f, a, var_order)
-    steps = total * len(ops)
+    nodes, length = compile_formula(f, var_order)
+    steps = total * length
     if budget is None:
         budget = evaluation_budget()
 
@@ -387,7 +386,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             raise ResourceLimitError(
                 f"exhaustive check needs {total} valuations (~{steps} steps) "
                 f"> budget {budget}; pass a sampling seed for sampling mode")
-        count = max(1, budget // max(len(ops), 1))
+        count = max(1, budget // length)
         rng = np.random.default_rng(sample_seed)
         best = None
         done = 0
@@ -395,7 +394,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             block = min(count - done, 1 << 15)
             idxs = rng.integers(0, total, size=block, dtype=np.int64)
             vals = kernels.valuation_digits(idxs, k, m)
-            res = kernels.evaluate(ops, args, vals.T, a.join, a.meet, a.imp)
+            res = kernels.evaluate(nodes, vals.T, a.join, a.meet, a.imp, a.bottom, a.top)
             bad = np.flatnonzero(np.broadcast_to(res != a.bottom, idxs.shape))
             if bad.size:
                 cand = int(idxs[bad].min())
@@ -413,13 +412,13 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         blocks = total // block
         workers = min(workers, os.cpu_count() or 1, blocks)
     if workers <= 1:
-        first = kernels.first_fail(ops, args, k, m, a.join, a.meet, a.imp,
-                                   a.bottom, 0, total, a.automorphisms)
+        first = kernels.first_fail(nodes, k, m, a.join, a.meet, a.imp,
+                                   a.bottom, a.top, 0, total, a.automorphisms)
     else:
         bounds = [block * (blocks * w // workers) for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(kernels.first_fail, ops, args, k, m,
-                              a.join, a.meet, a.imp, a.bottom,
+            futs = [ex.submit(kernels.first_fail, nodes, k, m,
+                              a.join, a.meet, a.imp, a.bottom, a.top,
                               bounds[w], bounds[w + 1], a.automorphisms)
                     for w in range(workers)]
             found = [r for r in (fu.result() for fu in futs) if r >= 0]

@@ -309,6 +309,14 @@ def test_verify_kp_stops_at_poset_size_6(capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "B(P7.1924)" in err
 
 
+def test_verify_all_refuses_kp_bound_before_any_suite(capsys):
+    """The kp rule is checked with the other bounds, so ``verify all`` exits
+    2 before the other suites run and print a line."""
+    rc, out, err = run(capsys, "verify", "all", "--max-poset", "7")
+    assert rc == 2 and "suite" not in out
+    assert err.startswith("error:") and "B(P7.1924)" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "kp", "--max-poset", "-1"),
     ("verify", "kp", "--max-poset", "0"),

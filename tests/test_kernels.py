@@ -21,10 +21,12 @@ from medlat.logic import (
     Or,
     Top,
     Var,
+    antichain_formula,
     axiom,
     compile_formula,
     eval_formula,
     parse,
+    render,
     variables,
 )
 from medlat.poset import chain_poset, open_sets
@@ -35,8 +37,7 @@ def _programs():
     for name in ("kp", "lin", "jan", "sc_standard"):
         f = axiom(name)
         for a in (bn(2), bn(3), chain_algebra(4)):
-            ops, args = compile_formula(f, a, variables(f))
-            out.append((f, a, ops, args))
+            out.append((f, a, compile_formula(f, variables(f))[0]))
     return out
 
 
@@ -54,13 +55,13 @@ def _first_fail_reference(f, a, start, stop):
 @pytest.mark.parametrize("case", range(12))
 def test_first_fail_backends_agree(case):
     """The kernel scan and the recursive evaluator find the same index."""
-    f, a, ops, args = _programs()[case]
+    f, a, nodes = _programs()[case]
     k = len(variables(f))
     total = a.size ** k
     spans = [(0, total), (total // 3, 2 * total // 3), (total - 1, total)]
     for start, stop in spans:
-        got = kernels.first_fail(ops, args, k, a.size, a.join, a.meet,
-                                 a.imp, a.bottom, start, stop)
+        got = kernels.first_fail(nodes, k, a.size, a.join, a.meet,
+                                 a.imp, a.bottom, a.top, start, stop)
         assert got == _first_fail_reference(f, a, start, stop)
 
 
@@ -97,11 +98,11 @@ def test_first_fail_matches_reference(text, n):
     f = parse(AXIOM_TEXT.get(text, text))
     a = bn(n)
     k = len(variables(f))
-    ops, args = compile_formula(f, a, variables(f))
+    nodes, _ = compile_formula(f, variables(f))
     total = a.size ** k
     for start, stop in _ranges(total, kernels.scan_block(k, a.size)):
-        got = kernels.first_fail(ops, args, k, a.size, a.join, a.meet,
-                                 a.imp, a.bottom, start, stop)
+        got = kernels.first_fail(nodes, k, a.size, a.join, a.meet,
+                                 a.imp, a.bottom, a.top, start, stop)
         assert got == _first_fail_reference(f, a, start, stop), (start, stop)
 
 
@@ -115,28 +116,33 @@ def test_scan_block_divides_the_space():
 
 def test_first_fail_memory_stays_within_blocks():
     """One scan of the 167**3 valuations of kp on bn(4) never holds more than
-    a few arrays of _BLOCK int64 entries; the whole space would be 37 MB."""
+    a few arrays of _BLOCK int64 entries; the whole space would be 37 MB.
+    The second formula has 20 nodes, so its block holds the values of many
+    nodes unless each goes after its last reader."""
     a = bn(4)
-    f = axiom("kp")
-    ops, args = compile_formula(f, a, variables(f))
-    tracemalloc.start()
-    try:
-        got = kernels.first_fail(ops, args, 3, a.size, a.join, a.meet, a.imp,
-                                 a.bottom, 0, a.size ** 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == -1
-    assert peak < 4 * kernels._BLOCK * 8
+    cases = ((axiom("kp"), -1),
+             (parse("((p -> q) & (q -> r) & (r -> p) & ~p & ~~q)"
+                    " | ((p | q) -> (q | r) -> (r & p))"), a.size))
+    for f, want in cases:
+        nodes, _ = compile_formula(f, variables(f))
+        tracemalloc.start()
+        try:
+            got = kernels.first_fail(nodes, 3, a.size, a.join, a.meet, a.imp,
+                                     a.bottom, a.top, 0, a.size ** 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 4 * kernels._BLOCK * 8, render(f)
 
 
 def test_first_fail_matches_slow_evaluator():
     f = parse("~p | (p -> q)")
     a = bn(2)
     names = variables(f)
-    ops, args = compile_formula(f, a, names)
-    first = kernels.first_fail(ops, args, 2, a.size, a.join, a.meet, a.imp,
-                               a.bottom, 0, a.size ** 2)
+    nodes, _ = compile_formula(f, names)
+    first = kernels.first_fail(nodes, 2, a.size, a.join, a.meet, a.imp,
+                               a.bottom, a.top, 0, a.size ** 2)
     # recompute by brute force with the recursive evaluator
     ref = -1
     for idx in range(a.size ** 2):
@@ -156,9 +162,9 @@ def test_first_fail_spans_blocks():
     bits = format(target, "016b")
     f = parse(" | ".join(f"~{v}" if b == "1" else v
                          for v, b in zip("abcdefghijklmnop", bits)))
-    ops, args = compile_formula(f, a, variables(f))
-    assert kernels.first_fail(ops, args, 16, 2, a.join, a.meet, a.imp,
-                              a.bottom, 0, 2 ** 16) == target
+    nodes, _ = compile_formula(f, variables(f))
+    assert kernels.first_fail(nodes, 16, 2, a.join, a.meet, a.imp,
+                              a.bottom, a.top, 0, 2 ** 16) == target
 
 
 def test_evaluate_matches_slow_evaluator():
@@ -167,9 +173,9 @@ def test_evaluate_matches_slow_evaluator():
     a = bn(3)
     f = axiom("kp")
     names = variables(f)
-    ops, args = compile_formula(f, a, names)
+    nodes, _ = compile_formula(f, names)
     vals = rng.integers(0, a.size, size=(200, len(names)), dtype=np.int64)
-    got = kernels.evaluate(ops, args, vals.T, a.join, a.meet, a.imp)
+    got = kernels.evaluate(nodes, vals.T, a.join, a.meet, a.imp, a.bottom, a.top)
     for row, g in zip(vals, got):
         assert eval_formula(f, a, dict(zip(names, map(int, row)))) == g
 
@@ -178,14 +184,14 @@ def test_evaluate_broadcasts_leaves():
     """A subterm carries the axes of its variables only; constants stay scalars."""
     a = bn(2)
     f = parse("(p -> q) | ~p & T")
-    ops, args = compile_formula(f, a, ["p", "q"])
+    nodes, _ = compile_formula(f, ["p", "q"])
     leaves = [np.arange(a.size).reshape(-1, 1), np.arange(a.size).reshape(1, -1)]
-    got = kernels.evaluate(ops, args, leaves, a.join, a.meet, a.imp)
+    got = kernels.evaluate(nodes, leaves, a.join, a.meet, a.imp, a.bottom, a.top)
     assert got.shape == (a.size, a.size)
     for p, q in itertools.product(range(a.size), repeat=2):
         assert got[p, q] == eval_formula(f, a, {"p": p, "q": q})
-    ops, args = compile_formula(parse("F -> T"), a, [])
-    assert np.ndim(kernels.evaluate(ops, args, [], a.join, a.meet, a.imp)) == 0
+    nodes, _ = compile_formula(parse("F -> T"), [])
+    assert np.ndim(kernels.evaluate(nodes, [], a.join, a.meet, a.imp, a.bottom, a.top)) == 0
 
 
 def test_valuation_digits_decode_indices():
@@ -254,13 +260,13 @@ def test_down_luts_one_table_per_byte():
 def test_no_fail_returns_minus_one():
     f = parse("p -> p")
     a = bn(2)
-    ops, args = compile_formula(f, a, ["p"])
-    assert kernels.first_fail(ops, args, 1, a.size, a.join, a.meet, a.imp,
-                              a.bottom, 0, a.size) == -1
+    nodes, _ = compile_formula(f, ["p"])
+    assert kernels.first_fail(nodes, 1, a.size, a.join, a.meet, a.imp,
+                              a.bottom, a.top, 0, a.size) == -1
 
 
 # ---------------------------------------------------------------------------
-# symmetry-reduced scan and hoisting
+# symmetry-reduced scan and scan-invariant nodes
 # ---------------------------------------------------------------------------
 
 _formulas_1_to_4 = st.recursive(
@@ -274,23 +280,43 @@ _formulas_1_to_4 = st.recursive(
     max_leaves=12,
 ).filter(lambda f: variables(f))
 
+# Formulas that reuse subterms, and unshared trees built by constructors.
+_shared_formulas = st.one_of(
+    st.recursive(
+        st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bot()]),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(And, sub, sub),
+            st.builds(Imp, sub, sub),
+            sub.map(lambda g: And(g, g)),
+            sub.map(lambda g: Imp(g, Not(g))),
+            st.tuples(sub, sub).map(lambda gh: Or(Imp(*gh), Imp(*gh[::-1]))),
+        ),
+        max_leaves=8,
+    ).filter(lambda f: variables(f)),
+    st.sampled_from([antichain_formula(3), antichain_formula(4)]),
+)
+
 # Scan block sizes: the default, and small ones that give bn(2) and bn(3)
 # leading variables and steps of one or several blocks.
 _BLOCK_SIZES = (kernels._BLOCK, 5, 19, 25, 40, 50, 100, 400)
 
 
-@settings(max_examples=150, deadline=None)
-@given(f=_formulas_1_to_4, n=st.sampled_from([2, 3]),
+@settings(max_examples=250, deadline=None)
+@given(f=st.one_of(_formulas_1_to_4, _shared_formulas), n=st.sampled_from([2, 3]),
        block=st.sampled_from(_BLOCK_SIZES), data=st.data())
 def test_first_fail_skip_matches_full_scan(f, n, block, data):
     """Skipping blocks whose image under an automorphism was scanned
     earlier finds the same index as scanning every block, on whole spaces
-    and on ranges that start or end inside a block."""
+    and on ranges that start or end inside a block.  A formula compiles to
+    the node list of its parse, however much of it is shared."""
     a = bn(n)
     names = variables(f)
     k = len(names)
     total = a.size ** k
-    ops, args = compile_formula(f, a, names)
+    compiled = compile_formula(f, names)
+    assert compile_formula(parse(render(f)), names) == compiled
+    nodes = compiled[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK", block)
         if total // kernels.scan_block(k, a.size) > 400:
@@ -299,8 +325,8 @@ def test_first_fail_skip_matches_full_scan(f, n, block, data):
         stop = data.draw(st.one_of(st.just(total), st.integers(start + 1, total)), label="stop")
 
         def scan(auts):
-            return kernels.first_fail(ops, args, k, a.size, a.join, a.meet, a.imp,
-                                      a.bottom, start, stop, auts)
+            return kernels.first_fail(nodes, k, a.size, a.join, a.meet, a.imp,
+                                      a.bottom, a.top, start, stop, auts)
 
         got = scan(a.automorphisms)
         assert got == scan(None)
@@ -308,19 +334,20 @@ def test_first_fail_skip_matches_full_scan(f, n, block, data):
         assert got == _first_fail_reference(f, a, start, stop)
 
 
-def _count_blocks(monkeypatch):
-    """Patch the interpreter to count the blocks the scan evaluates: the
-    rows of the first leading leaf (a scan-wide subterm has none)."""
-    rows = []
+def _record_runs(monkeypatch):
+    """Patch the interpreter to record each run: the operator nodes it
+    evaluates and the root it returns.  The scan-invariant pass of a scan
+    whose root reads a leading variable returns None."""
+    runs = []
     run = kernels._run
 
-    def counting(prog, leaves, tables, m):
-        if leaves and leaves[0] is not None:
-            rows.append(np.shape(leaves[0])[0])
-        return run(prog, leaves, tables, m)
+    def recording(steps, vals, tables, m):
+        out = run(steps, vals, tables, m)
+        runs.append(([step[0] for step in steps], out))
+        return out
 
-    monkeypatch.setattr(kernels, "_run", counting)
-    return rows
+    monkeypatch.setattr(kernels, "_run", recording)
+    return runs
 
 
 def test_kp_scan_on_bn4_evaluates_one_block_per_orbit(monkeypatch):
@@ -328,32 +355,33 @@ def test_kp_scan_on_bn4_evaluates_one_block_per_orbit(monkeypatch):
     full kp scan on bn(4) evaluates 29 blocks instead of 167."""
     a = bn(4)
     f = axiom("kp")
-    ops, args = compile_formula(f, a, variables(f))
-    rows = _count_blocks(monkeypatch)
+    nodes, _ = compile_formula(f, variables(f))
+    runs = _record_runs(monkeypatch)
     for auts, blocks in ((None, 167), (a.automorphisms, 29)):
-        rows.clear()
-        assert kernels.first_fail(ops, args, 3, a.size, a.join, a.meet, a.imp,
-                                  a.bottom, 0, a.size ** 3, auts) == -1
-        assert sum(rows) == blocks
+        runs.clear()
+        assert kernels.first_fail(nodes, 3, a.size, a.join, a.meet, a.imp,
+                                  a.bottom, a.top, 0, a.size ** 3, auts) == -1
+        assert sum(np.shape(out)[0] for _, out in runs if out is not None) == blocks
 
 
-def test_hoist_evaluates_block_invariant_subterms_once():
-    """In kp with p leading, q | r is the only subterm with an operator and
-    no p; the split program reads it as variable 3 and has the same value."""
+def test_scan_invariant_nodes_run_once_per_scan(monkeypatch):
+    """In kp with p leading, q | r is the only operator node without p: it
+    runs once per scan, not once per block, and the roots of the blocks
+    make up the value of the whole formula."""
     a = bn(2)
-    f = axiom("kp")
-    ops, args = compile_formula(f, a, ["p", "q", "r"])
-    prog, hoisted = kernels._hoist(kernels._program(ops, args), 1, 3)
-    qr = compile_formula(parse("q | r"), a, ["p", "q", "r"])
-    assert hoisted == [kernels._program(*qr)]
-    assert len(prog[0]) == len(ops) - 2
-    tables = (None, None, a.join.ravel(), a.meet.ravel(), a.imp.ravel())
+    names = ["p", "q", "r"]
+    nodes, _ = compile_formula(axiom("kp"), names)
+    qr = nodes.index((kernels.OP_MEET, nodes.index((kernels.OP_VAR, 1, 0)),
+                      nodes.index((kernels.OP_VAR, 2, 0))))
+    monkeypatch.setattr(kernels, "_BLOCK", a.size ** 2)  # p leads, one block per step
+    runs = _record_runs(monkeypatch)
+    assert kernels.first_fail(nodes, 3, a.size, a.join, a.meet, a.imp,
+                              a.bottom, a.top, 0, a.size ** 3) == -1
+    assert runs[0] == ([qr], None)
+    assert sum(qr in ran for ran, _ in runs) == 1
+    roots = [out for _, out in runs[1:]]
+    assert len(roots) == a.size
     leaves = [np.arange(a.size).reshape(-1, 1, 1), np.arange(a.size).reshape(1, -1, 1),
               np.arange(a.size).reshape(1, 1, -1)]
-    inv = kernels._run(hoisted[0], leaves, tables, a.size)
-    assert (kernels._run(prog, leaves + [inv], tables, a.size)
-            == kernels.evaluate(ops, args, leaves, a.join, a.meet, a.imp)).all()
-    # an operand on the left is hoisted too, and a lone variable is not
-    ops, args = compile_formula(parse("(q & r) -> p | r"), a, ["p", "q", "r"])
-    qr = compile_formula(parse("q & r"), a, ["p", "q", "r"])
-    assert kernels._hoist(kernels._program(ops, args), 1, 3)[1] == [kernels._program(*qr)]
+    whole = kernels.evaluate(nodes, leaves, a.join, a.meet, a.imp, a.bottom, a.top)
+    np.testing.assert_array_equal(np.concatenate(roots), whole)

@@ -105,9 +105,8 @@ def test_parse_shares_equal_subformulas():
     assert f.left.left is f.left.right is f.right.left.left.sub
     assert f.right.left.right is f.right.right
     assert f.left.left.left is f.right.left.left.sub.left
-    a = bn(2)
-    for got, want in zip(logic.compile_formula(f, a, ["p", "q"]),
-                         logic.compile_formula(tree, a, ["p", "q"])):
+    for got, want in zip(logic.compile_formula(f, ["p", "q"]),
+                         logic.compile_formula(tree, ["p", "q"])):
         np.testing.assert_array_equal(got, want)
     assert render(f) == render(tree)
     assert parse(text) is not f  # no state outlives a parse
@@ -289,6 +288,29 @@ def test_formula_nodes_have_slots():
 def test_budget_exceeded_without_seed():
     with pytest.raises(ResourceLimitError, match="sampling"):
         is_valid(axiom("kp"), bn(3), budget=10)
+
+
+def test_budget_counts_valuations_times_postfix_length():
+    """lin on bn(3): 19**2 = 361 valuations and a postfix program of 7 ops,
+    though it compiles to 5 nodes; the scan needs 361 * 7 = 2527 steps."""
+    f = axiom("lin")
+    nodes, length = logic.compile_formula(f, ["p", "q"])
+    assert (len(nodes), length) == (5, 7)
+    with pytest.raises(ResourceLimitError, match="2527 steps"):
+        is_valid(f, bn(3), budget=2526)
+    rep = is_valid(f, bn(3), budget=2527)
+    assert (rep.mode, rep.valuations_checked) == ("exhaustive", 22)
+
+
+def test_compile_formula_emits_each_distinct_subterm_once():
+    """The Rieger-Nishimura formula nf12 has 13 distinct subformulas and a
+    tree of 477 postfix ops; its node list adds only the top that ~p reads."""
+    nf = [Var("p"), Not(Var("p"))]
+    for k in range(2, 13):
+        nf.append(Or(nf[k - 2], nf[k - 1]) if k % 2 == 0 else Imp(nf[k - 1], nf[k - 3]))
+    nodes, length = logic.compile_formula(nf[12], ["p"])
+    assert (len(nodes), length) == (14, 477)
+    assert nodes[-1] == (kernels.OP_MEET, 11, 12)  # nf10 | nf11, the root last
 
 
 def test_sampling_finds_countermodel_deterministically():
