@@ -151,12 +151,22 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     return _index_of_masks(_position_tables(masks, n), images)
 
 
-def _up_set_tables(p: Poset, masks: np.ndarray):
+def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):
     """leq, join, meet and imp of the algebra of all up-sets of p, element i
     being masks[i], in any order: join = intersection, meet = union, and
     U -> V = {a : [a) & U <= V}, filled a band of about ``_TABLE_BLOCK``
     entries at a time.  A result mask is turned back into its element by
-    the byte-radix tables of ``_position_tables``."""
+    the byte-radix tables of ``_position_tables``.
+
+    automorphisms, when given, are element permutations g of the algebra
+    (rows of ``_lift_automorphisms``; they need not form a group).  Row x
+    is then filled from a row r with g(r) = x that is computed directly:
+    leq[x, g(v)] = leq[r, v] and T[x, g(v)] = g(T[r, v]) for join, meet and
+    imp.  r is the least preimage of x under the rows, taken only when r is
+    its own least preimage; every other row is computed directly.  For a
+    group that is one row per orbit, its least element.  Without
+    automorphisms every row is computed, and join, meet and leq below the
+    diagonal are mirrored from above it."""
     m = len(masks)
     tables = _position_tables(masks, p.size)
     luts = kernels.down_luts(p.down_masks)
@@ -164,21 +174,47 @@ def _up_set_tables(p: Poset, masks: np.ndarray):
     join = np.empty((m, m), dtype=np.int32)
     meet = np.empty((m, m), dtype=np.int32)
     imp = np.empty((m, m), dtype=np.int32)
+    direct = None  # the rows computed directly, when not all of them
+    if automorphisms is not None:
+        ar = np.arange(m, dtype=np.int32)
+        inverse = np.empty_like(automorphisms)
+        np.put_along_axis(inverse, automorphisms, ar[None, :], axis=1)
+        via = inverse.argmin(axis=0)  # the row g giving x its least preimage
+        source = np.minimum(inverse[via, ar], ar)
+        filled = (source < ar) & (source[source] == source)
+        if filled.any():
+            direct = np.flatnonzero(~filled)
+    mirror = direct is None
+    count = m if mirror else len(direct)
     rows = max(1, _TABLE_BLOCK // m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        u, rest = masks[lo:hi, None], masks[None, lo:]
-        # leq, join and meet are known left of column lo from the strips
-        # mirrored by earlier bands: fill the rest of the band, and mirror
-        # its part right of the band into the strip below it.
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        band = slice(lo, hi) if mirror else direct[lo:hi]
+        # Without automorphisms, leq, join and meet are known left of column
+        # lo from the strips mirrored by earlier bands: fill the rest of the
+        # band, and mirror its part right of the band into the strip below it.
+        start = lo if mirror else 0
+        u, rest = masks[band, None], masks[None, start:]
         inter = u & rest
-        leq[lo:hi, lo:] = inter == rest  # U >= V as sets
-        leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
-        join[lo:hi, lo:] = _index_of_masks(tables, inter)
-        join[hi:, lo:hi] = join[lo:hi, hi:].T
-        meet[lo:hi, lo:] = _index_of_masks(tables, u | rest)
-        meet[hi:, lo:hi] = meet[lo:hi, hi:].T
-        imp[lo:hi] = _index_of_masks(tables, kernels.imp_masks(masks[lo:hi], masks, luts))
+        leq[band, start:] = inter == rest  # U >= V as sets
+        join[band, start:] = _index_of_masks(tables, inter)
+        meet[band, start:] = _index_of_masks(tables, u | rest)
+        imp[band] = _index_of_masks(tables, kernels.imp_masks(masks[band], masks, luts))
+        if mirror:
+            leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
+            join[hi:, lo:hi] = join[lo:hi, hi:].T
+            meet[hi:, lo:hi] = meet[lo:hi, hi:].T
+    if not mirror:
+        # Each g fills the rows it reaches from their sources, a band at a
+        # time: one take along the rows by g^-1 and one take of g on the values.
+        for k, (g, inv) in enumerate(zip(automorphisms, inverse)):
+            targets = np.flatnonzero(filled & (via == k))
+            for lo in range(0, len(targets), rows):
+                x = targets[lo:lo + rows]
+                r = source[x]
+                leq[x] = leq[r].take(inv, axis=1)
+                for t in (join, meet, imp):
+                    t[x] = g.take(t[r].take(inv, axis=1), mode="clip")  # every entry is an element
     return leq, join, meet, imp
 
 
@@ -186,13 +222,14 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
     and numbered by ascending mask: bottom = whole carrier, top = empty set.
     The automorphisms of p, when it carries them, become element
-    permutations of the algebra."""
+    permutations of the algebra, lifted before the tables: the table builder
+    then computes one row per orbit and fills the others by permutation."""
     masks = open_sets(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
     auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
-    leq, join, meet, imp = _up_set_tables(p, masks)
+    leq, join, meet, imp = _up_set_tables(p, masks, auts)
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
         for u in masks.tolist()

@@ -185,11 +185,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    budget = None if args.dot else lg.evaluation_budget()
     a = resolve_algebra(args.algebra)
     entries = 4 * a.size ** 2  # the four tables, as JSON lists
-    if not args.dot and entries > lg.evaluation_budget():
+    if budget is not None and entries > budget:
         raise ResourceLimitError(f"JSON export of {a.provenance} holds {entries} table entries, "
-                                 f"more than the step budget {lg.evaluation_budget()}")
+                                 f"more than the step budget {budget}")
     text = alg.algebra_to_dot(a) if args.dot else alg.algebra_to_json(a)
     if args.output:
         with open(args.output, "w") as fh:
@@ -302,6 +303,16 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """A --budget value: an integer of at least 1, else an InputError, which
+    main reports like every other input error."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise InputError(f"--budget must be an integer, got {text!r}") from None
+    return lg._check_budget(budget, "--budget")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="medlat", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each subcommand gets only the flags it reads.
     def budget(sp):
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_budget, default=None,
                         help="evaluation step budget (default: MEDLAT_BUDGET or 1e8)")
 
     def parallel(sp):
@@ -370,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if "budget" in vars(args) and args.budget is None:
+            args.budget = lg.evaluation_budget()  # a bad MEDLAT_BUDGET is refused before any work
         return args.fn(args)
     except MedlatError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,14 +31,23 @@ DEFAULT_BUDGET = 100_000_000
 
 
 def evaluation_budget() -> int:
-    """The one work limit, in steps: MEDLAT_BUDGET, else DEFAULT_BUDGET."""
+    """The one work limit, in steps: MEDLAT_BUDGET, else DEFAULT_BUDGET.
+    A value that is no number, or below 1 step, is an input error."""
     raw = os.environ.get("MEDLAT_BUDGET", "")
     if raw:
         try:
-            return int(float(raw))
+            budget = int(float(raw))
         except (ValueError, OverflowError):  # OverflowError: int(float("inf"))
             raise InputError(f"MEDLAT_BUDGET must be a number, got {raw!r}")
+        return _check_budget(budget, "MEDLAT_BUDGET")
     return DEFAULT_BUDGET
+
+
+def _check_budget(budget: int, name: str = "the step budget") -> int:
+    """budget, refused as an input error when it is below 1 step."""
+    if budget < 1:
+        raise InputError(f"{name} must be at least 1, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +387,7 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         raise ResourceLimitError(f"{m}^{k} valuations do not fit in int64 indices")
     nodes, length = compile_formula(f, var_order)
     steps = total * length
-    if budget is None:
-        budget = evaluation_budget()
+    budget = evaluation_budget() if budget is None else _check_budget(budget)
 
     if steps > budget:
         if sample_seed is None:

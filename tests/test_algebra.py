@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poset
-from medlat import algebra
+from medlat import algebra, kernels
 from medlat.algebra import (
     AlgebraMap,
     algebra_to_dict,
@@ -44,6 +44,7 @@ from medlat.poset import (
     cover_matrix,
     enumerate_posets,
     load_poset,
+    open_sets,
     powerset_poset,
     up_closure,
 )
@@ -644,6 +645,72 @@ def test_a_non_automorphism_is_refused(fork):
     for bad in ([[1, 0, 2]], [[0, 1, 1]], [[0, 1, 3]], [[0, 1]], [[0.0, 1.0, 2.0]]):
         with pytest.raises(InputError):
             from_poset(Poset(fork.leq, fork.labels, "fork", np.array(bad)))
+
+
+def _with_automorphisms(p, auts):
+    return Poset(p.leq, p.labels, p.name, None if auts is None else np.array(auts, dtype=np.int32))
+
+
+def _same_tables(p, auts):
+    """from_poset of p with the automorphism rows auts equals from_poset of
+    p without any: same tables, masks and labels."""
+    a, b = from_poset(_with_automorphisms(p, auts)), from_poset(_with_automorphisms(p, None))
+    for name in ("leq", "join", "meet", "imp", "open_masks"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.labels, a.bottom, a.top) == (b.labels, b.bottom, b.top)
+    return a
+
+
+@pytest.mark.parametrize("case", ["powerset1", "powerset2", "powerset3", "powerset4",
+                                  "antichain4-S4", "fork-swap"])
+def test_orbit_filled_tables_equal_the_direct_build(case, fork):
+    """Rows filled by permutation from one row per orbit give the tables that
+    computing every row gives."""
+    if case.startswith("powerset"):
+        p = powerset_poset(int(case[-1]))
+        auts = p.automorphisms
+    elif case == "antichain4-S4":
+        p, auts = antichain_poset(4), list(itertools.permutations(range(4)))
+    else:
+        p, auts = fork, [[0, 1, 2], [0, 2, 1]]
+    a = _same_tables(p, auts)
+    assert a.automorphisms.shape == (len(auts), a.size)
+
+
+@pytest.mark.parametrize("case", ["antichain3-lone-3-cycle", "fork-swap-without-identity"])
+def test_automorphism_rows_that_are_no_group_fill_the_right_tables(case, fork):
+    """Rows that are no group: a lone 3-cycle reaches the third element of
+    an orbit only as its square, and the fork's swap comes without the
+    identity.  Every row that no given permutation reaches from a directly
+    computed row is computed too."""
+    p, auts = ((antichain_poset(3), [[1, 2, 0]]) if case.startswith("antichain")
+               else (fork, [[0, 2, 1]]))
+    _same_tables(p, auts)
+
+
+def test_bn_computes_one_implication_row_per_orbit(monkeypatch):
+    """The rows of bn(1..4) passed to imp_masks are one per orbit of the
+    n! permutations (the orbit's least element), against every row
+    without automorphisms."""
+    real = kernels.imp_masks
+    rows = []
+
+    def counting(u, v, luts):
+        rows.extend(np.searchsorted(masks, u).tolist())
+        return real(u, v, luts)
+
+    monkeypatch.setattr("medlat.kernels.imp_masks", counting)
+    for n, orbits, size in ((1, 2, 2), (2, 4, 5), (3, 9, 19), (4, 29, 167)):
+        p = powerset_poset(n)
+        masks = open_sets(p)
+        rows.clear()
+        a = from_poset(p)
+        assert len(rows) == orbits
+        assert rows == [x for x in range(a.size) if a.automorphisms[:, x].min() == x]
+        rows.clear()
+        from_poset(_with_automorphisms(p, None))
+        assert len(rows) == size
 
 
 def test_only_powerset_algebras_carry_automorphisms(tmp_path):

@@ -118,6 +118,39 @@ def test_unrepresentable_numbers_exit_2(capsys, monkeypatch, argv, budget_env):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "p", "--algebra", "bn:2", "--budget", "0"),
+    ("check", "p | ~p", "--algebra", "bn:2", "--budget", "0", "--sample", "3"),
+    ("check", "p", "--algebra", "bn:1", "--budget", "-1", "--sample", "1"),
+    ("countermodel", "p | ~p", "--budget", "0"),
+    ("report", "--algebra", "bn:2", "--budget", "0"),
+])
+def test_a_budget_below_one_is_an_input_error(capsys, argv):
+    """--budget 0 neither samples one valuation nor prints a report of
+    refused rows: it is one error line and exit 2, like --max-size 0."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --budget must be at least 1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "p", "--algebra", "bn:1", "--sample", "1"),
+    ("countermodel", "p | ~p"),
+    ("report", "--algebra", "bn:2"),
+    ("export", "--algebra", "bn:2"),
+])
+def test_a_budget_env_below_one_is_an_input_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MEDLAT_BUDGET", "-1")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: MEDLAT_BUDGET must be at least 1") and err.count("\n") == 1
+
+
+def test_a_budget_that_is_no_integer_is_an_input_error(capsys):
+    rc, out, err = run(capsys, "check", "p", "--algebra", "bn:2", "--budget", "1e3")
+    assert (rc, out) == (2, "") and err == "error: --budget must be an integer, got '1e3'\n"
+
+
 def factor_argv(command):
     """check or report on factor:bn:4,<top> (167 classes), with its exit code."""
     formula = ["p | ~p"] if command == "check" else []

@@ -362,6 +362,21 @@ def test_budget_env_override(monkeypatch):
     assert evaluation_budget() == 100_000_000
 
 
+def test_a_budget_below_one_is_refused(monkeypatch):
+    """Below 1 step, the budget= argument and MEDLAT_BUDGET are input
+    errors, not a scan of one sampled valuation."""
+    for budget in (0, -1):
+        with pytest.raises(InputError, match="at least 1"):
+            is_valid(parse("p | ~p"), bn(2), budget=budget, sample_seed=3)
+    for raw in ("0", "-1", "0.5"):
+        monkeypatch.setenv("MEDLAT_BUDGET", raw)
+        with pytest.raises(InputError, match="MEDLAT_BUDGET must be at least 1"):
+            evaluation_budget()
+        with pytest.raises(InputError, match="MEDLAT_BUDGET"):
+            is_valid(parse("p"), bn(1), sample_seed=1)
+    assert is_valid(parse("p -> p"), bn(1), budget=6).valid  # 2 valuations x 3 steps
+
+
 # ---------------------------------------------------------------------------
 # axioms, levels, searches
 # ---------------------------------------------------------------------------
