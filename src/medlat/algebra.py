@@ -10,7 +10,7 @@ every query downstream of construction is a table lookup.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +30,8 @@ from .poset import (
 )
 
 MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
+ELEMENT_DTYPE = np.uint16   # of every array of element indices an algebra holds
+assert MAX_ALGEBRA_SIZE <= 1 << 16, "element indices must fit ELEMENT_DTYPE"
 _TABLE_BLOCK = 1 << 20      # table entries computed at a time
 VALIDATE_CAP = 320
 BN_CAP = 5
@@ -38,22 +40,41 @@ BN_CAP = 5
 @dataclass(frozen=True, eq=False)
 class BrouwerAlgebra:
     leq: np.ndarray          # bool (m, m)
-    join: np.ndarray         # int32 (m, m), the lattice +
-    meet: np.ndarray         # int32 (m, m), the lattice x
-    imp: np.ndarray          # int32 (m, m)
+    join: np.ndarray         # ELEMENT_DTYPE (m, m), the lattice +
+    meet: np.ndarray         # ELEMENT_DTYPE (m, m), the lattice x
+    imp: np.ndarray          # ELEMENT_DTYPE (m, m)
     bottom: int
     top: int
     labels: tuple[str, ...]
     provenance: str
     poset: Poset | None = None
     open_masks: np.ndarray | None = None  # uint64 per element, when poset-backed
-    automorphisms: np.ndarray | None = None  # int32 (g, m) element permutations
+    automorphisms: np.ndarray | None = None  # ELEMENT_DTYPE (g, m) element permutations
 
     def __post_init__(self):
-        for a in (self.leq, self.join, self.meet, self.imp):
-            a.setflags(write=False)
-        if self.automorphisms is not None:
-            self.automorphisms.setflags(write=False)
+        """Takes the element arrays in any integer dtype and stores them in
+        ELEMENT_DTYPE, after refusing more than MAX_ALGEBRA_SIZE elements and
+        every entry outside [0, m): narrowing first would wrap -1 or
+        2**16 + x onto a valid-looking element."""
+        m = self.leq.shape[0]
+        if m > MAX_ALGEBRA_SIZE:
+            raise ResourceLimitError(f"{self.provenance} has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
+        self.leq.setflags(write=False)
+        for name in ("join", "meet", "imp", "automorphisms"):
+            t = getattr(self, name)
+            if t is None:
+                continue
+            if t.ndim != 2 or t.shape[1] != m or (t.shape[0] != m and name != "automorphisms"):
+                raise InputError(f"{name} table shape {t.shape} does not match size {m}")
+            kind = t.dtype.kind
+            if kind not in "iu":
+                raise InputError(f"{name} table entries must be integers, not {t.dtype}")
+            if t.size and (t.max() >= m or kind == "i" and t.min() < 0):
+                raise InputError(f"{name} table entries out of element range [0, {m})")
+            if t.dtype != ELEMENT_DTYPE:
+                t = t.astype(ELEMENT_DTYPE)
+                object.__setattr__(self, name, t)
+            t.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -171,9 +192,9 @@ def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None
     tables = _position_tables(masks, p.size)
     luts = kernels.down_luts(p.down_masks)
     leq = np.empty((m, m), dtype=bool)
-    join = np.empty((m, m), dtype=np.int32)
-    meet = np.empty((m, m), dtype=np.int32)
-    imp = np.empty((m, m), dtype=np.int32)
+    join = np.empty((m, m), dtype=ELEMENT_DTYPE)
+    meet = np.empty((m, m), dtype=ELEMENT_DTYPE)
+    imp = np.empty((m, m), dtype=ELEMENT_DTYPE)
     direct = None  # the rows computed directly, when not all of them
     if automorphisms is not None:
         ar = np.arange(m, dtype=np.int32)
@@ -218,9 +239,10 @@ def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None
     return leq, join, meet, imp
 
 
-def from_poset(p: Poset) -> BrouwerAlgebra:
+def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
-    and numbered by ascending mask: bottom = whole carrier, top = empty set.
+    and numbered by ascending mask: bottom = whole carrier, top = empty set;
+    its provenance is ``B(name of p)`` unless given.
     The automorphisms of p, when it carries them, become element
     permutations of the algebra, lifted before the tables: the table builder
     then computes one row per orbit and fills the others by permutation."""
@@ -237,28 +259,22 @@ def from_poset(p: Poset) -> BrouwerAlgebra:
     return BrouwerAlgebra(
         leq=leq, join=join, meet=meet, imp=imp,
         bottom=m - 1, top=0,
-        labels=labels, provenance=f"B({p.name})",
+        labels=labels, provenance=provenance or f"B({p.name})",
         poset=p, open_masks=masks, automorphisms=auts,
     )
 
 
 def from_tables(leq, join, meet, imp, bottom, top, labels=None,
                 provenance: str = "tables") -> BrouwerAlgebra:
-    """Wrap raw tables without validating the laws (see validate)."""
-    leq = np.asarray(leq, dtype=bool)
-    m = leq.shape[0]
-    join = np.asarray(join, dtype=np.int32)
-    meet = np.asarray(meet, dtype=np.int32)
-    imp = np.asarray(imp, dtype=np.int32)
-    for t in (join, meet, imp):
-        if t.shape != (m, m):
-            raise InputError(f"table shape {t.shape} does not match size {m}")
-        if t.min(initial=0) < 0 or t.max(initial=0) >= m:
-            raise InputError("table entries out of element range")
+    """Wrap copies of raw tables without validating the laws (see validate);
+    the algebra refuses entries that are not elements.  An integer table is
+    copied in its own dtype, any other (a float zeros table) as int64."""
+    leq = np.array(leq, dtype=bool)
+    join, meet, imp = (np.array(t) for t in (join, meet, imp))
+    join, meet, imp = (t if t.dtype.kind in "iu" else t.astype(np.int64) for t in (join, meet, imp))
     if labels is None:
-        labels = tuple(f"e{i}" for i in range(m))
-    return BrouwerAlgebra(leq.copy(), join.copy(), meet.copy(), imp.copy(),
-                          int(bottom), int(top), tuple(labels), provenance)
+        labels = tuple(f"e{i}" for i in range(leq.shape[0]))
+    return BrouwerAlgebra(leq, join, meet, imp, int(bottom), int(top), tuple(labels), provenance)
 
 
 @lru_cache(maxsize=None)
@@ -268,14 +284,14 @@ def bn(n: int) -> BrouwerAlgebra:
         raise InputError("bn needs n >= 1")
     if n > BN_CAP:
         raise ResourceLimitError(f"bn cap is {BN_CAP}, got n={n}")
-    return replace(from_poset(powerset_poset(n)), provenance=f"bn:{n}")
+    return from_poset(powerset_poset(n), provenance=f"bn:{n}")
 
 
 @lru_cache(maxsize=None)
 def chain_algebra(m: int) -> BrouwerAlgebra:
     if m < 1:
         raise InputError("chain algebra needs at least one element")
-    return replace(from_poset(chain_poset(m - 1)), provenance=f"chain:{m}")
+    return from_poset(chain_poset(m - 1), provenance=f"chain:{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +452,10 @@ def interval(a: BrouwerAlgebra, lo: int, hi: int) -> BrouwerAlgebra:
     if not a.leq[lo, hi]:
         raise InputError(f"interval needs lo <= hi, got {lo} !<= {hi}")
     elems = np.flatnonzero(a.leq[lo, :] & a.leq[:, hi])
-    pos = np.full(a.size, -1, dtype=np.int32)
-    pos[elems] = np.arange(len(elems), dtype=np.int32)
+    # Outside the interval pos is 2**16 - 1, no element of an interval that
+    # leaves out an element of a: the algebra refuses an entry that escapes.
+    pos = np.full(a.size, np.iinfo(ELEMENT_DTYPE).max, dtype=ELEMENT_DTYPE)
+    pos[elems] = np.arange(len(elems))
     sub = np.ix_(elems, elems)
     join = pos[a.join[sub]]
     meet = pos[a.meet[sub]]

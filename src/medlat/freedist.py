@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import BrouwerAlgebra, bn
+from .algebra import ELEMENT_DTYPE, BrouwerAlgebra, bn
 from .algebra import AlgebraMap, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
@@ -165,9 +165,9 @@ def free_algebra(n: int) -> tuple[BrouwerAlgebra, tuple[FreeElement, ...]]:
     index = {e: i for i, e in enumerate(elems)}
     m = len(elems)
     leq = np.zeros((m, m), dtype=bool)
-    join = np.zeros((m, m), dtype=np.int32)
-    meet = np.zeros((m, m), dtype=np.int32)
-    imp = np.zeros((m, m), dtype=np.int32)
+    join = np.zeros((m, m), dtype=ELEMENT_DTYPE)
+    meet = np.zeros((m, m), dtype=ELEMENT_DTYPE)
+    imp = np.zeros((m, m), dtype=ELEMENT_DTYPE)
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             leq[i, j] = free_leq(a, b)

@@ -16,8 +16,12 @@ serves every algebra.
 leaves are one int array per variable, and the arrays broadcast against
 each other: each operator node is one table lookup on ``x * m + y``, so a
 node's array carries only the axes of the variables it contains, and a
-constant stays a scalar.  A node's value is dropped after its last reader,
-so a run holds only the values that are still to be read.
+constant stays a scalar.  An operator node's values have the tables'
+dtype, at least uint16: the index is formed in that dtype while m * m - 1
+fits uint16 (up to m = 256), and above that by ``np.multiply`` with
+``dtype=intp``, which no promotion rule can narrow.  A node's value is
+dropped after its last reader, so a run holds only the values that are
+still to be read.
 
 ``first_fail`` scans valuation indices in mixed radix, the first variable
 most significant.  The trailing j variables, the most with m**j <= _BLOCK,
@@ -58,6 +62,7 @@ import numpy as np
 OP_VAR, OP_CONST, OP_JOIN, OP_MEET, OP_IMP = 0, 1, 2, 3, 4
 
 _BLOCK = 1 << 15
+_NARROW = 1 << 16  # the most m * m whose indices x * m + y all fit uint16
 _BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)  # [i, w]: bit i of w
 
 
@@ -101,10 +106,12 @@ def _leaves(nodes, leaves, bottom, top):
 
 def _run(steps, vals, tables, m):
     """The interpreter: runs a program of ``_programs`` on vals, the values by
-    node, in place; tables[op] is the raveled table of an operator.  Returns
-    the root's value, or None if the root has none yet."""
+    node, in place; tables[op] is the raveled m x m table of an operator.
+    Returns the root's value, or None if the root has none yet."""
+    wide = m * m > _NARROW
     for i, op, x, y, dead in steps:
-        vals[i] = tables[op].take(vals[x] * m + vals[y])
+        row = np.multiply(vals[x], m, dtype=np.intp) if wide else vals[x] * m
+        vals[i] = tables[op].take(row + vals[y])
         for d in dead:
             vals[d] = None
     return vals[-1]

@@ -10,6 +10,7 @@ from conftest import random_poset
 from medlat import algebra, kernels
 from medlat.algebra import (
     AlgebraMap,
+    BrouwerAlgebra,
     algebra_to_dict,
     algebra_to_dot,
     algebra_to_json,
@@ -85,6 +86,7 @@ def test_chain_algebra_is_linear():
 # The element numbering of bn(1..5) that fixtures and tests name: sha256 of
 # leq, join, meet, imp, open_masks and automorphisms, each with its dtype and
 # shape, as computed with the binary-search index the position tables replace.
+# The element arrays were int32 then, so they are hashed widened to int32.
 BN_NUMBERING_SHA256 = {
     1: "ab9b5d3c0bd98b30f5532749cd9bc8ad8d13d6227dbb72ebc2084ab84a3be442",
     2: "714f24a6eed0f277934a5aff970171d93ac27d4a31e52de48858c5b6d536012d",
@@ -97,8 +99,11 @@ BN_NUMBERING_SHA256 = {
 @pytest.mark.parametrize("n", sorted(BN_NUMBERING_SHA256))
 def test_bn_numbering_is_frozen(n):
     a = bn(n)  # bn(5) is built once per process: bn is cached
+    assert all(t.dtype == algebra.ELEMENT_DTYPE for t in (a.join, a.meet, a.imp, a.automorphisms))
     h = hashlib.sha256()
     for t in (a.leq, a.join, a.meet, a.imp, a.open_masks, a.automorphisms):
+        if t.dtype == algebra.ELEMENT_DTYPE:
+            t = t.astype(np.int32)
         h.update(f"{t.dtype}{t.shape}".encode())
         h.update(np.ascontiguousarray(t).data)
     assert h.hexdigest() == BN_NUMBERING_SHA256[n]
@@ -155,6 +160,81 @@ def test_random_algebras_validate():
     for _ in range(15):
         a = from_poset(random_poset(rng, int(rng.integers(1, 7))))
         assert validate(a) == []
+
+
+def test_bn5_tables_take_seven_bytes_per_entry():
+    """leq is one byte per entry and join, meet and imp two each: 402 MB
+    for bn(5)'s 7,580 elements, where int32 tables took 747 MB."""
+    a = bn(5)
+    assert sum(t.nbytes for t in (a.leq, a.join, a.meet, a.imp)) == 7_580 ** 2 * 7
+
+
+def test_every_algebra_holds_element_indices_in_the_element_dtype():
+    b3 = bn(3)
+    cases = [bn(2), b3, chain_algebra(4), from_poset(antichain_poset(3)), free_algebra(2)[0],
+             from_tables(b3.leq, b3.join.astype(np.int64), b3.meet, b3.imp, b3.bottom, b3.top),
+             interval(b3, b3.bottom, 5), factor_by_principal_filter(b3, 5).algebra]
+    for a in cases:
+        arrays = (a.join, a.meet, a.imp) + (() if a.automorphisms is None else (a.automorphisms,))
+        assert all(t.dtype == algebra.ELEMENT_DTYPE for t in arrays), a
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 65_536 + 1])
+@pytest.mark.parametrize("name", ["join", "meet", "imp", "automorphisms"])
+def test_entries_outside_the_elements_are_refused_before_narrowing(name, bad):
+    """-1, m and 2**16 + 1 are not elements of the 3-element chain; narrowed
+    to ELEMENT_DTYPE before the check, 2**16 + 1 would read as element 1."""
+    base = chain_algebra(3)
+    arrays = {t: getattr(base, t).astype(np.int64) for t in ("join", "meet", "imp")}
+    arrays["automorphisms"] = np.arange(3)[None, :]
+    arrays[name][0, 1] = bad
+    with pytest.raises(InputError, match="out of element range"):
+        BrouwerAlgebra(base.leq, arrays["join"], arrays["meet"], arrays["imp"], base.bottom,
+                       base.top, base.labels, "bad", automorphisms=arrays["automorphisms"])
+    if name != "automorphisms":
+        with pytest.raises(InputError, match="out of element range"):
+            from_tables(base.leq, arrays["join"], arrays["meet"], arrays["imp"],
+                        base.bottom, base.top)
+
+
+def test_more_elements_than_the_cap_are_refused_before_narrowing(monkeypatch):
+    """With 2**16 + 2 elements, 65,537 is in range and would narrow to
+    element 1: the algebra refuses any size above MAX_ALGEBRA_SIZE first.
+    The m x m arrays are broadcast views already in the element dtype, so
+    none is allocated, even if the cap were not checked."""
+    m = (1 << 16) + 2
+    leq = np.broadcast_to(np.True_, (m, m))
+    t = np.broadcast_to(algebra.ELEMENT_DTYPE(0), (m, m))
+    with pytest.raises(ResourceLimitError, match="cap"):
+        BrouwerAlgebra(leq, t, t, t, 0, 0, (), "big", automorphisms=np.full((1, m), 65_537))
+    base = chain_algebra(3)
+    monkeypatch.setattr(algebra, "MAX_ALGEBRA_SIZE", 2)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        from_tables(base.leq, base.join, base.meet, base.imp, base.bottom, base.top)
+
+
+def test_from_tables_copies_integer_tables_and_converts_the_others():
+    """An integer table keeps its values and is not frozen in place; a float
+    one is read as integers, as from_tables always took it."""
+    base = chain_algebra(3)
+    join = base.join.astype(np.int32)
+    a = from_tables(base.leq, join, base.meet.astype(float), base.imp, base.bottom, base.top)
+    assert join.flags.writeable
+    for name in ("join", "meet", "imp"):
+        assert np.array_equal(getattr(a, name), getattr(base, name))
+        assert getattr(a, name).dtype == algebra.ELEMENT_DTYPE
+
+
+def test_interval_refuses_an_operation_that_leaves_it():
+    """In unvalidated tables a meet may leave an interval; the interval is
+    refused, not given an entry that is no element of it."""
+    base = chain_algebra(3)  # bottom 2 < 1 < top 0
+    meet = base.meet.copy()
+    meet[1, 2] = base.top
+    a = from_tables(base.leq, base.join, meet, base.imp, base.bottom, base.top)
+    assert interval(base, 2, 1).size == 2
+    with pytest.raises(InputError, match="out of element range"):
+        interval(a, 2, 1)
 
 
 def test_neg_on_bn2():
@@ -619,7 +699,7 @@ def test_bn_automorphisms_are_bijective_homomorphisms():
     for n in (1, 2, 3, 4):
         a = bn(n)
         auts = a.automorphisms
-        assert auts.shape == (math.factorial(n), a.size) and auts.dtype == np.int32
+        assert auts.shape == (math.factorial(n), a.size) and auts.dtype == algebra.ELEMENT_DTYPE
         assert not auts.flags.writeable
         assert auts[0].tolist() == list(range(a.size))
         assert len({tuple(g) for g in auts.tolist()}) == len(auts)

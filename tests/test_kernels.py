@@ -29,7 +29,7 @@ from medlat.logic import (
     render,
     variables,
 )
-from medlat.poset import chain_poset, open_sets
+from medlat.poset import antichain_poset, chain_poset, make_poset, open_sets
 
 
 def _programs():
@@ -104,6 +104,50 @@ def test_first_fail_matches_reference(text, n):
         got = kernels.first_fail(nodes, k, a.size, a.join, a.meet,
                                  a.imp, a.bottom, a.top, start, stop)
         assert got == _first_fail_reference(f, a, start, stop), (start, stop)
+
+
+def _int64_walk(f, a, env):
+    """f's value with env[name] as the values of each variable, read off
+    int64 copies of the tables, so no index is formed in a narrow dtype."""
+    join, meet, imp = (t.astype(np.int64) for t in (a.join, a.meet, a.imp))
+
+    def go(g):
+        if isinstance(g, Var):
+            return env[g.name]
+        if isinstance(g, (Top, Bot)):
+            return a.bottom if isinstance(g, Top) else a.top
+        if isinstance(g, Not):
+            return imp[go(g.sub), a.top]
+        table = join if isinstance(g, And) else meet if isinstance(g, Or) else imp
+        return table[go(g.left), go(g.right)]
+
+    return go(f)
+
+
+def test_node_index_does_not_overflow_above_256_elements():
+    """x * m + y passes 2**16 - 1 once m > 256: formed in the 2-byte element
+    dtype, the index of an operator on an operator node's value would wrap.
+    On the 512 elements of a 9-element antichain's algebra and the 384 of a
+    2-chain beside 7 points, the kernel agrees with an int64 walk of the
+    tables over all m**2 valuations, and the scan with the recursive
+    evaluator; so it does on the 256 of an 8-element antichain, the largest
+    algebra whose indices fit the element dtype.  The second formula is
+    valid, so a wrapped index shows as a failure."""
+    leq = np.eye(9, dtype=bool)
+    leq[0, 1] = True
+    for poset in (antichain_poset(9), make_poset(leq), antichain_poset(8)):
+        a = from_poset(poset)
+        m = a.size
+        p, q = np.arange(m).reshape(-1, 1), np.arange(m).reshape(1, -1)
+        for text in ("(p -> q) | (q -> p)", "(~p | q) -> (q | ~p)"):
+            f = parse(text)
+            nodes, _ = compile_formula(f, ["p", "q"])
+            got = kernels.evaluate(nodes, [p, q], a.join, a.meet, a.imp, a.bottom, a.top)
+            assert np.array_equal(got, _int64_walk(f, a, {"p": p, "q": q})), (m, text)
+            for start, stop in _ranges(m ** 2, kernels.scan_block(2, m)):
+                got = kernels.first_fail(nodes, 2, m, a.join, a.meet, a.imp, a.bottom, a.top,
+                                         start, stop)
+                assert got == _first_fail_reference(f, a, start, stop), (m, text, start, stop)
 
 
 def test_scan_block_divides_the_space():
