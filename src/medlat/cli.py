@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes are a contract: 0 = valid / suite passed / countermodel found,
-1 = invalid / nothing found, 2 = error.  Algebras are addressed by
-composable selector strings:
+1 = invalid / nothing found, 2 = error or unknown.  An error prints nothing
+on stdout and an ``error:`` line on stderr; ``check --sample`` that finds no
+countermodel prints its UNKNOWN report on stdout and nothing on stderr.
+Algebras are addressed by composable selector strings:
 
     bn:<n> | free:<n> | chain:<m> | poset:<file>
     | interval:<spec>,<a>,<b> | factor:<spec>,<a>
@@ -90,8 +92,7 @@ def _print_report(rep: lg.ValidityReport, as_json: bool):
 def cmd_check(args) -> int:
     a = resolve_algebra(args.algebra)
     f = lg.parse(args.formula)
-    rep = lg.is_valid(f, a, budget=args.budget, sample_seed=args.sample,
-                      workers=args.parallel)
+    rep = lg.is_valid(f, a, budget=args.budget, sample_seed=args.sample)
     _print_report(rep, args.json)
     if rep.valid is True:
         return EXIT_VALID
@@ -129,8 +130,7 @@ def cmd_report(args) -> int:
     rows = []
     for name in sorted(lg.AXIOM_TEXT):
         try:
-            rep = lg.is_valid(lg.axiom(name), a, budget=args.budget,
-                              workers=args.parallel)
+            rep = lg.is_valid(lg.axiom(name), a, budget=args.budget)
             rows.append({"axiom": name, **rep.to_dict()})
         except MedlatError as e:
             rows.append({"axiom": name, "error": str(e)})
@@ -323,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=_budget, default=None,
                         help="evaluation step budget (default: MEDLAT_BUDGET or 1e8)")
 
-    def parallel(sp):
-        sp.add_argument("--parallel", type=int, default=1, metavar="K",
-                        help="worker threads for valuation scans; at most the CPU count "
-                             "and the scan's blocks are used.  A worker skips a block "
-                             "by symmetry only when its image lies in its own range")
-
     def as_json(sp):
         sp.add_argument("--json", action="store_true")
 
@@ -338,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample", type=int, default=None, metavar="SEED",
                     help="sampling mode seed (required when over budget)")
     budget(sp)
-    parallel(sp)
     as_json(sp)
     sp.set_defaults(fn=cmd_check)
 
@@ -353,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="axiom catalogue table for one algebra")
     sp.add_argument("--algebra", required=True)
     budget(sp)
-    parallel(sp)
     as_json(sp)
     sp.set_defaults(fn=cmd_report)
 

@@ -305,7 +305,7 @@ def test_12_performance(report):
     with _Timer(60) as t2:
         b5 = bn(5)
         for name in ("jan", "lem", "sc_paper", "sc_standard"):
-            rep = is_valid(axiom(name), b5, workers=4)
+            rep = is_valid(axiom(name), b5)
             assert rep.valid is not None
     report(f"PASS 12 performance: full bn(4) report in {t1.elapsed:.1f}s, "
             f"1-variable axioms on bn(5) in {t2.elapsed:.1f}s")

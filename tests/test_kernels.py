@@ -197,18 +197,27 @@ def test_first_fail_matches_slow_evaluator():
     assert first == ref
 
 
+def _clauses(nvars, *targets):
+    """A formula over x00..x{nvars-1} that fails, in the 2-element algebra,
+    exactly at the valuations whose digits are the bits of the targets."""
+    names = [f"x{i:02d}" for i in range(nvars)]
+    return parse(" & ".join(
+        "(" + " | ".join(f"~{v}" if b == "1" else v
+                         for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
+        for t in targets))
+
+
 def test_first_fail_spans_blocks():
-    """A failure past the first block of the scan is found at its index.
-    In the 2-element algebra the formula is a clause that fails only at
-    the valuation whose digits are the bits of target."""
+    """A failure past the first block of the scan is found at its index, and
+    of failures in several blocks the least one (17 variables are 4 blocks)."""
     a = chain_algebra(2)
-    target = kernels._BLOCK + 7233
-    bits = format(target, "016b")
-    f = parse(" | ".join(f"~{v}" if b == "1" else v
-                         for v, b in zip("abcdefghijklmnop", bits)))
-    nodes, _ = compile_formula(f, variables(f))
-    assert kernels.first_fail(nodes, 16, 2, a.join, a.meet, a.imp,
-                              a.bottom, a.top, 0, 2 ** 16) == target
+    for nvars, targets in ((16, [kernels._BLOCK + 7233]),
+                           (17, [3 * kernels._BLOCK + 5]),
+                           (17, [3 * kernels._BLOCK + 5, 2 * kernels._BLOCK + 9])):
+        f = _clauses(nvars, *targets)
+        nodes, _ = compile_formula(f, variables(f))
+        assert kernels.first_fail(nodes, nvars, 2, a.join, a.meet, a.imp,
+                                  a.bottom, a.top, 0, 2 ** nvars) == min(targets)
 
 
 def test_evaluate_matches_slow_evaluator():

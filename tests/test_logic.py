@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -181,98 +180,6 @@ def test_countermodel_is_least_and_rechecks():
     assert rep.countermodel == {"p": 1, "q": 2}
     assert eval_formula(axiom("lin"), a, rep.countermodel) == rep.value_reached
     assert rep.value_reached != a.bottom
-
-
-def test_workers_agree_with_single_scan():
-    a = bn(3)
-    for name in ("kp", "lin"):
-        r1 = is_valid(axiom(name), a, workers=1)
-        r4 = is_valid(axiom(name), a, workers=4)
-        assert r1.valid == r4.valid
-        assert r1.countermodel == r4.countermodel
-
-
-def _clauses(nvars, *targets):
-    """A formula over x00..x{nvars-1} that fails, in the 2-element algebra,
-    exactly at the valuations whose digits are the bits of the targets."""
-    names = [f"x{i:02d}" for i in range(nvars)]
-    return parse(" & ".join(
-        "(" + " | ".join(f"~{v}" if b == "1" else v
-                         for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
-        for t in targets))
-
-
-@pytest.mark.parametrize("f,a", [
-    (_clauses(17, 3 * kernels._BLOCK + 5, 2 * kernels._BLOCK + 9), chain_algebra(2)),
-    (_clauses(17, 3 * kernels._BLOCK + 5), chain_algebra(2)),
-    (parse("~~r -> r | (p -> q)"), bn(4)),
-    (parse("(p -> w) | (r & s & t & u & q -> w)"), bn(2)),
-])
-def test_workers_1_2_3_agree(monkeypatch, f, a):
-    """The least countermodel does not depend on the worker count, also when
-    several workers find one (the 17-variable space has 4 blocks)."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    reps = [is_valid(f, a, workers=w) for w in (1, 2, 3)]
-    assert len({(r.valid, r.valuations_checked, str(r.countermodel)) for r in reps}) == 1
-
-
-class _RefusingExecutor:
-    """Stands in for ThreadPoolExecutor: records the thread count it was
-    asked for and fails before any thread exists."""
-    asked = []
-
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
-        raise RuntimeError("no threads in this test")
-
-
-def test_worker_threads_are_capped_by_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(logic, "ThreadPoolExecutor", _RefusingExecutor)
-    _RefusingExecutor.asked.clear()
-    with pytest.raises(RuntimeError, match="no threads"):
-        is_valid(axiom("kp"), bn(4), workers=1_000_000)
-    assert _RefusingExecutor.asked == [2]
-    # a space of one block is scanned without an executor
-    assert is_valid(axiom("kp"), bn(3), workers=1_000_000).valid is True
-
-
-class _InlineExecutor:
-    """Runs each submitted scan at once, in the calling thread, and records
-    its range."""
-    ranges = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-        self.ranges.append(args[8:10])
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
-def test_worker_ranges_are_whole_blocks(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    monkeypatch.setattr(logic, "ThreadPoolExecutor", _InlineExecutor)
-    for f, a in ((axiom("kp"), bn(4)), (parse("p & q & r & s"), bn(3))):
-        k = len(variables(f))
-        block = kernels.scan_block(k, a.size)
-        _InlineExecutor.ranges.clear()
-        rep = is_valid(f, a, workers=7)
-        ranges = _InlineExecutor.ranges
-        assert len(ranges) == min(7, a.size ** k // block) > 1
-        assert ranges[0][0] == 0 and ranges[-1][1] == a.size ** k
-        assert all(lo < hi and lo % block == 0 for lo, hi in ranges)
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-        assert rep.valid == is_valid(f, a).valid
 
 
 def test_formula_nodes_have_slots():

@@ -18,6 +18,7 @@ import pytest
 import medlat.cli  # noqa: F401  (the tracer wraps functions of every target module)
 from medlat import algebra, kernels
 from medlat.algebra import bn
+from medlat.errors import InputError
 from medlat.logic import is_valid, parse
 from medlat.poset import chain_poset
 
@@ -51,6 +52,9 @@ def test_is_valid_takes_the_harness_keywords():
     """perfbench/workloads.py calls ``is_valid(formula, algebra, workers=1)``."""
     rep = is_valid(parse("p | ~p"), bn(2), workers=1)
     assert (rep.valid, rep.countermodel, rep.mode) == (False, {"p": 1}, "exhaustive")
+    # The scan is single-threaded: another worker count is refused, not ignored.
+    with pytest.raises(InputError, match="workers"):
+        is_valid(parse("p | ~p"), bn(2), workers=2)
 
 
 def test_open_sets_span_is_recorded(tracing):
