@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from medlat.logic import parse
 from medlat.poset import Poset, make_poset
 
 
@@ -34,3 +35,13 @@ def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> Pose
             if rng.random() < density:
                 edges.append((int(perm[i]), int(perm[j])))
     return transitive_closure_poset(n, edges)
+
+
+def clause_formula(nvars: int, *targets: int):
+    """A formula over x00..x{nvars-1} that fails, in the 2-element algebra,
+    exactly at the valuations whose digits are the bits of the targets."""
+    names = [f"x{i:02d}" for i in range(nvars)]
+    return parse(" & ".join(
+        "(" + " | ".join(f"~{v}" if b == "1" else v
+                         for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
+        for t in targets))

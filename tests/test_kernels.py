@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset
+from conftest import clause_formula, random_poset
 from medlat import kernels
 from medlat.algebra import bn, chain_algebra, from_poset
 from medlat.logic import (
@@ -197,16 +197,6 @@ def test_first_fail_matches_slow_evaluator():
     assert first == ref
 
 
-def _clauses(nvars, *targets):
-    """A formula over x00..x{nvars-1} that fails, in the 2-element algebra,
-    exactly at the valuations whose digits are the bits of the targets."""
-    names = [f"x{i:02d}" for i in range(nvars)]
-    return parse(" & ".join(
-        "(" + " | ".join(f"~{v}" if b == "1" else v
-                         for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
-        for t in targets))
-
-
 def test_first_fail_spans_blocks():
     """A failure past the first block of the scan is found at its index, and
     of failures in several blocks the least one (17 variables are 4 blocks)."""
@@ -214,7 +204,7 @@ def test_first_fail_spans_blocks():
     for nvars, targets in ((16, [kernels._BLOCK + 7233]),
                            (17, [3 * kernels._BLOCK + 5]),
                            (17, [3 * kernels._BLOCK + 5, 2 * kernels._BLOCK + 9])):
-        f = _clauses(nvars, *targets)
+        f = clause_formula(nvars, *targets)
         nodes, _ = compile_formula(f, variables(f))
         assert kernels.first_fail(nodes, nvars, 2, a.join, a.meet, a.imp,
                                   a.bottom, a.top, 0, 2 ** nvars) == min(targets)

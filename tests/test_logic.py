@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import clause_formula
 from medlat import kernels, logic
 from medlat.algebra import bn, chain_algebra, from_poset, neg
 from medlat.errors import InputError, ResourceLimitError
@@ -180,6 +181,31 @@ def test_countermodel_is_least_and_rechecks():
     assert rep.countermodel == {"p": 1, "q": 2}
     assert eval_formula(axiom("lin"), a, rep.countermodel) == rep.value_reached
     assert rep.value_reached != a.bottom
+
+
+@pytest.mark.parametrize("f,a", [
+    (clause_formula(17, 3 * kernels._BLOCK + 5, 2 * kernels._BLOCK + 9), chain_algebra(2)),
+    (clause_formula(17, 3 * kernels._BLOCK + 5), chain_algebra(2)),
+    (parse("~~r -> r | (p -> q)"), bn(4)),
+    (parse("(p -> w) | (r & s & t & u & q -> w)"), bn(2)),
+])
+def test_workers_1_2_3_agree(f, a):
+    """The scan cut into 1, 2 or 3 runs of whole blocks finds, as its least
+    failure, the countermodel of is_valid, also when several runs find one
+    (the 17-variable space has 4 blocks)."""
+    names = variables(f)
+    k = len(names)
+    nodes, _ = logic.compile_formula(f, names)
+    total = a.size ** k
+    nblocks = total // kernels.scan_block(k, a.size)
+    rep = is_valid(f, a)
+    want = -1 if rep.valid else rep.valuations_checked - 1
+    for w in (1, 2, 3):
+        cuts = [total // nblocks * (nblocks * i // w) for i in range(w + 1)]
+        found = [kernels.first_fail(nodes, k, a.size, a.join, a.meet, a.imp, a.bottom,
+                                    a.top, lo, hi, a.automorphisms)
+                 for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        assert min((x for x in found if x >= 0), default=-1) == want
 
 
 def test_formula_nodes_have_slots():
