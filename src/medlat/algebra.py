@@ -25,6 +25,7 @@ from .poset import (
     chain_poset,
     hasse_dot,
     open_sets,
+    order_isomorphisms,
     powerset_poset,
     single_covers,
 )
@@ -613,78 +614,28 @@ def plus_a_map(a: BrouwerAlgebra, shift: int, c: int) -> PlusMapResult:
 # isomorphism search
 # ---------------------------------------------------------------------------
 
-def _ji_fingerprints(a: BrouwerAlgebra, ji: np.ndarray) -> list[tuple]:
-    """Per join-irreducible: how many join-irreducibles lie below and above
-    it, and how many elements."""
-    sub = a.leq[np.ix_(ji, ji)]
-    return list(zip(sub.sum(axis=0).tolist(), sub.sum(axis=1).tolist(),
-                    a.leq[:, ji].sum(axis=0).tolist(), a.leq[ji].sum(axis=1).tolist()))
-
-
 def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
     """A bijective B-homomorphism a1 -> a2, or None.
 
-    Backtracks over images of the join-irreducible elements (they determine
-    a finite distributive lattice), then verifies every operation table.
+    A finite distributive lattice is fixed by its poset of join-irreducibles
+    (Birkhoff), so each order isomorphism between those posets is extended by
+    joins and then checked against every operation table.
     """
     if a1.size != a2.size:
         return None
     # the join-irreducibles other than the bottom: exactly one lower cover
     ji1 = np.flatnonzero(single_covers(a1.leq)[0])
     ji2 = np.flatnonzero(single_covers(a2.leq)[0])
-    if len(ji1) != len(ji2):
-        return None
-    fp1 = _ji_fingerprints(a1, ji1)
-    fp2 = _ji_fingerprints(a2, ji2)
-    if sorted(fp1) != sorted(fp2):
-        return None
-    n = len(ji1)
-    order1 = sorted(range(n), key=lambda i: (fp1[i], ji1[i]))
-    cand = [[j for j in range(n) if fp2[j] == fp1[i]] for i in range(n)]
-
-    assign: list[int] = []
-    used = [False] * n
-
-    def consistent(i_pos: int, j: int) -> bool:
-        xi = ji1[order1[i_pos]]
-        yj = ji2[j]
-        for k_pos in range(i_pos):
-            xk = ji1[order1[k_pos]]
-            yk = ji2[assign[k_pos]]
-            if bool(a1.leq[xi, xk]) != bool(a2.leq[yj, yk]):
-                return False
-            if bool(a1.leq[xk, xi]) != bool(a2.leq[yk, yj]):
-                return False
-        return True
-
-    def build() -> AlgebraMap | None:
+    for perm in order_isomorphisms(a1.leq[np.ix_(ji1, ji1)], a2.leq[np.ix_(ji2, ji2)]):
         # each x goes to the join of the images of the join-irreducibles below it
         image = np.full(a1.size, a2.bottom, dtype=np.int32)
-        for p in range(n):
-            below = a1.leq[ji1[order1[p]]]
-            image[below] = a2.join[image[below], ji2[assign[p]]]
+        for x, y in zip(ji1, ji2[perm]):
+            above = a1.leq[x]
+            image[above] = a2.join[image[above], y]
         f = AlgebraMap(a1, a2, image)
-        if not f.is_bijective():
-            return None
-        ok, _ = is_b_homomorphism(f)
-        return f if ok else None
-
-    def backtrack(i_pos: int) -> AlgebraMap | None:
-        if i_pos == n:
-            return build()
-        for j in cand[order1[i_pos]]:
-            if used[j] or not consistent(i_pos, j):
-                continue
-            used[j] = True
-            assign.append(j)
-            found = backtrack(i_pos + 1)
-            if found is not None:
-                return found
-            assign.pop()
-            used[j] = False
-        return None
-
-    return backtrack(0)
+        if f.is_bijective() and is_b_homomorphism(f)[0]:
+            return f
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -138,12 +138,6 @@ def _trailing(nvars: int, m: int) -> int:
     return j
 
 
-def scan_block(nvars: int, m: int) -> int:
-    """Valuations per block of ``first_fail``: m**j for its j broadcast
-    trailing variables.  It divides m**nvars."""
-    return m ** _trailing(nvars, m)
-
-
 def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
                automorphisms=None):
     """Least valuation index in [start, stop) where the root of the node list

@@ -654,8 +654,8 @@ class SpectrumReport:
 def one_variable_spectrum(a: BrouwerAlgebra, max_depth: int = 8) -> SpectrumReport:
     """For each element p, close {p} under neg/join/meet/imp for max_depth
     rounds and collapse to distinct values; report the largest spectrum."""
-    if max_depth > 8:
-        raise InputError("depth cap is 8")
+    if not 0 <= max_depth <= 8:
+        raise InputError(f"depth must be in 0..8, got {max_depth}")
     sizes = []
     best = (0, -1, ())
     for p in range(a.size):

@@ -265,10 +265,40 @@ def canonical_form(p: Poset | np.ndarray) -> bytes:
     return best
 
 
+def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray):
+    """Every order isomorphism from leq1 onto leq2, as a list of images.
+
+    Backtracks over the refined colour classes, smallest class first: x may
+    go to y of its colour when (x, y) agrees with every pair already assigned,
+    in both directions, which by antisymmetry also keeps y unused.  Isomorphic
+    orders refine to matching colours, so no isomorphism is missed.  There is
+    no cost bound: the worst case is exponential.
+    """
+    n = leq1.shape[0]
+    c1, c2 = _refine_colors(leq1), _refine_colors(leq2)
+    if leq2.shape[0] != n or sorted(c1) != sorted(c2):
+        return
+    l1, l2 = leq1.tolist(), leq2.tolist()
+    order = sorted(range(n), key=lambda x: (c1.count(c1[x]), c1[x]))
+    image, tries = [-1] * n, []  # tries[d]: the images left to try for order[d]
+    while True:
+        d = len(tries)
+        if d == n:
+            yield list(image)
+        else:
+            x, done = order[d], order[:d]
+            tries.append(iter([y for y in range(n) if c2[y] == c1[x] and all(
+                l1[x][z] == l2[y][image[z]] and l1[z][x] == l2[image[z]][y] for z in done)]))
+        # back up to the deepest level with an image left, and take it
+        while tries and (y := next(tries[-1], -1)) < 0:
+            tries.pop()
+        if not tries:
+            return
+        image[order[len(tries) - 1]] = y
+
+
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
-    if p.size != q.size:
-        return False
-    return canonical_form(p) == canonical_form(q)
+    return next(order_isomorphisms(p.leq, q.leq), None) is not None
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poset
-from medlat import algebra, kernels
+from medlat import algebra, kernels, poset
 from medlat.algebra import (
     AlgebraMap,
     BrouwerAlgebra,
@@ -833,11 +833,15 @@ def test_plus_a_map_bn2_all_pairs():
 
 
 def test_is_isomorphic_positive():
-    assert is_isomorphic(bn(2), bn(2)) is not None
-    f2, _ = free_algebra(2)
-    m = is_isomorphic(f2, bn(2))
-    assert m is not None and m.is_bijective()
-    assert is_b_homomorphism(m)[0]
+    """free(n) = bn(n) for n <= 3, and bn(n) is its own factor by the top."""
+    for n in range(1, 5):
+        a = bn(n)
+        assert is_isomorphic(a, a) is not None
+        if n <= 3:
+            m = is_isomorphic(free_algebra(n)[0], a)
+            assert m is not None and m.is_bijective()
+            assert is_b_homomorphism(m)[0]
+        assert is_isomorphic(a, factor_by_principal_filter(a, a.top).algebra) is not None
 
 
 def test_is_isomorphic_negative_same_size():
@@ -847,6 +851,39 @@ def test_is_isomorphic_negative_same_size():
 
 def test_is_isomorphic_negative_different_size():
     assert is_isomorphic(bn(1), bn(2)) is None
+
+
+def test_is_isomorphic_agrees_with_the_posets():
+    """Birkhoff: for posets P, Q with at most 4 elements and algebras of one
+    size, B(P) and B(Q) are isomorphic iff P and Q are."""
+    algebras = [(p, from_poset(p)) for n in range(1, 5) for p in enumerate_posets(n)]
+    pairs = 0
+    for (p, a), (q, b) in itertools.product(algebras, repeat=2):
+        if a.size == b.size:
+            found = is_isomorphic(a, b)
+            assert (found is not None) == (p is q), (p.name, q.name)
+            pairs += 1
+    assert pairs > len(algebras)
+
+
+def test_isomorphism_search_needs_no_canonical_form(monkeypatch):
+    """Both isomorphism questions go through the one poset search, so they
+    answer with the relabelling-based canonical form out of reach."""
+    def refuse(*args):
+        raise AssertionError("canonical labelling used")
+
+    monkeypatch.setattr(poset, "canonical_form", refuse)
+    monkeypatch.setattr(poset, "_candidate_perms", refuse)
+    perm = np.random.default_rng(12).permutation(12)
+    leq = antichain_poset(12).leq.copy()
+    leq[0, 1] = True  # one comparable pair, so the relabelling is not the identity
+    p = Poset(leq, tuple(map(str, range(12))))
+    q = Poset(leq[np.ix_(perm, perm)], p.labels)
+    for n in (12, 20):  # one colour class of n! relabelings
+        assert poset.posets_isomorphic(antichain_poset(n), antichain_poset(n))
+    assert poset.posets_isomorphic(p, q)
+    assert not poset.posets_isomorphic(p, antichain_poset(12))
+    assert is_isomorphic(bn(3), bn(3)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import medlat
 from medlat.cli import main, resolve_algebra, resolve_element
 from medlat.errors import InputError
-from medlat.algebra import bn, chain_algebra
-from medlat.poset import max_antichain_size
+from medlat.algebra import bn, chain_algebra, from_poset
+from medlat.poset import enumerate_posets, max_antichain_size
 
 
 def run(capsys, *argv):
@@ -361,6 +361,15 @@ def test_bounds_below_1_exit_2(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["hom", "iso", "arrow", "free"])
+def test_max_poset_on_a_suite_that_ignores_it_exits_2(capsys, suite):
+    """Only factor, kp and all read --max-poset; any other suite refuses it
+    before running, instead of checking the bound and then ignoring it."""
+    rc, out, err = run(capsys, "verify", suite, "--max-poset", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--max-poset" in err
+
+
 @pytest.mark.parametrize("budget,expected", [("1000", 2), ("1443", 2), ("1444", 0)])
 def test_json_export_is_refused_above_the_budget(capsys, monkeypatch, budget, expected):
     """bn:3 has 19 elements, so its JSON holds 4 x 19^2 = 1444 table entries;
@@ -404,6 +413,10 @@ def test_flags_in_use_still_work(capsys):
     assert rc == 1 and json.loads(out)["valid"] is False
     rc, out, _ = run(capsys, "enumerate", "--algebras", "2", "--json")
     assert rc == 0 and len(json.loads(out)) == 2
+    for n in range(1, 5):
+        rc, out, _ = run(capsys, "enumerate", "--algebras", str(n), "--json")
+        sizes = {row["poset"]: row["algebra_size"] for row in json.loads(out)}
+        assert rc == 0 and sizes == {p.name: from_poset(p).size for p in enumerate_posets(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_first_fail_matches_reference(text, n):
     k = len(variables(f))
     nodes, _ = compile_formula(f, variables(f))
     total = a.size ** k
-    for start, stop in _ranges(total, kernels.scan_block(k, a.size)):
+    for start, stop in _ranges(total, a.size ** kernels._trailing(k, a.size)):
         got = kernels.first_fail(nodes, k, a.size, a.join, a.meet,
                                  a.imp, a.bottom, a.top, start, stop)
         assert got == _first_fail_reference(f, a, start, stop), (start, stop)
@@ -144,18 +144,20 @@ def test_node_index_does_not_overflow_above_256_elements():
             nodes, _ = compile_formula(f, ["p", "q"])
             got = kernels.evaluate(nodes, [p, q], a.join, a.meet, a.imp, a.bottom, a.top)
             assert np.array_equal(got, _int64_walk(f, a, {"p": p, "q": q})), (m, text)
-            for start, stop in _ranges(m ** 2, kernels.scan_block(2, m)):
+            for start, stop in _ranges(m ** 2, m ** kernels._trailing(2, m)):
                 got = kernels.first_fail(nodes, 2, m, a.join, a.meet, a.imp, a.bottom, a.top,
                                          start, stop)
                 assert got == _first_fail_reference(f, a, start, stop), (m, text, start, stop)
 
 
 def test_scan_block_divides_the_space():
-    assert kernels.scan_block(0, 7) == 1
-    assert kernels.scan_block(3, 19) == 19 ** 3 and kernels.scan_block(4, 19) == 19 ** 3
-    assert kernels.scan_block(3, 167) == 167 ** 2
-    assert kernels.scan_block(16, 2) == kernels._BLOCK
-    assert kernels.scan_block(5, 1) == 1
+    """A block of ``first_fail`` is m ** _trailing(nvars, m) valuations, a
+    divisor of the m ** nvars in the space."""
+    assert kernels._trailing(0, 7) == 0
+    assert kernels._trailing(3, 19) == 3 and kernels._trailing(4, 19) == 3
+    assert kernels._trailing(3, 167) == 2
+    assert 2 ** kernels._trailing(16, 2) == kernels._BLOCK
+    assert kernels._trailing(5, 1) == 5
 
 
 def test_first_fail_memory_stays_within_blocks():
@@ -362,7 +364,7 @@ def test_first_fail_skip_matches_full_scan(f, n, block, data):
     nodes = compiled[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK", block)
-        if total // kernels.scan_block(k, a.size) > 400:
+        if total // a.size ** kernels._trailing(k, a.size) > 400:
             mp.setattr(kernels, "_BLOCK", 1 << 15)  # keep each example short
         start = data.draw(st.integers(0, total - 1), label="start")
         stop = data.draw(st.one_of(st.just(total), st.integers(start + 1, total)), label="stop")

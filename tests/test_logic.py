@@ -197,7 +197,7 @@ def test_workers_1_2_3_agree(f, a):
     k = len(names)
     nodes, _ = logic.compile_formula(f, names)
     total = a.size ** k
-    nblocks = total // kernels.scan_block(k, a.size)
+    nblocks = total // a.size ** kernels._trailing(k, a.size)
     rep = is_valid(f, a)
     want = -1 if rep.valid else rep.valuations_checked - 1
     for w in (1, 2, 3):
@@ -452,6 +452,10 @@ def test_one_variable_spectrum():
     assert rep.sizes == (2, 5, 5, 3, 2)
     assert rep.max_size == 5
     assert rep.spectrum == (0, 1, 2, 3, 4)
+    assert one_variable_spectrum(bn(2), 0).max_size == 1
+    for depth in (-3, -1, 9):
+        with pytest.raises(InputError):
+            one_variable_spectrum(bn(2), depth)
 
 
 def test_validity_report_json_shape():

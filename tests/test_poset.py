@@ -27,6 +27,7 @@ from medlat.poset import (
     make_poset,
     max_antichain_size,
     open_sets,
+    order_isomorphisms,
     posets_isomorphic,
     poset_from_dict,
     poset_to_dict,
@@ -297,6 +298,40 @@ def test_posets_isomorphic(fork):
     assert posets_isomorphic(fork, relabeled)
     assert not posets_isomorphic(fork, chain_poset(3))
     assert not posets_isomorphic(fork, chain_poset(4))
+    assert posets_isomorphic(chain_poset(0), antichain_poset(0))
+
+
+def _order_preserving_perms(l1, l2):
+    """The bijections x -> f[x] with x <= y iff f[x] <= f[y], by brute force."""
+    n = len(l1)
+    return {f for f in itertools.permutations(range(n))
+            if all(l1[x, y] == l2[f[x], f[y]] for x in range(n) for y in range(n))}
+
+
+def test_order_isomorphisms_agree_with_canonical_forms():
+    """Over every same-size pair of posets with at most 5 elements (4,255
+    pairs), one side relabelled by a seeded permutation: the search yields
+    an isomorphism iff the canonical forms are equal, and what it yields
+    preserves the order both ways.  On the pairs of a poset with a relabelled
+    copy of itself it yields every such bijection, each once."""
+    rng = np.random.default_rng(18)
+    pairs = 0
+    for n in range(1, 6):
+        ps = enumerate_posets(n)
+        for p in ps:
+            for q in ps:
+                perm = rng.permutation(n)
+                leq = q.leq[np.ix_(perm, perm)]
+                isos = list(order_isomorphisms(p.leq, leq))
+                assert bool(isos) == (canonical_form(p) == canonical_form(q)), (p.name, q.name)
+                for f in isos:
+                    assert sorted(f) == list(range(n))
+                    assert np.array_equal(leq[np.ix_(f, f)], p.leq), (p.name, q.name, f)
+                if p is q:
+                    assert len(isos) == len(set(map(tuple, isos)))
+                    assert set(map(tuple, isos)) == _order_preserving_perms(p.leq, leq)
+                pairs += 1
+    assert pairs == 4255
 
 
 # ---------------------------------------------------------------------------
