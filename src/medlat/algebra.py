@@ -1,17 +1,21 @@
-"""Finite Brouwer algebras as table-backed structures.
+"""Finite Brouwer algebras, held as tables or as the up-sets of a poset.
 
 A Brouwer algebra here is a bounded distributive lattice with the
 co-implication  a -> b = min{c : a + c >= b}  (order-dual of a Heyting
-algebra); the *least* element is the designated truth value.  All four
-tables (order, join, meet, implication) are precomputed numpy arrays, so
-every query downstream of construction is a table lookup.
+algebra); the *least* element is the designated truth value.  Its four
+tables (order, join, meet, implication) are m x m numpy arrays.  An algebra
+built from a poset (``from_poset``, and so ``bn`` and ``chain_algebra``)
+holds the poset and its up-set masks instead, and builds the four tables
+only when one of them is first read: valuation scans and ``eval_formula``
+compute on the masks (``BrouwerAlgebra.operations``), and only structural
+questions (irreducibles, widths, intervals, factors, export) read tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .poset import (
     single_covers,
 )
 
-MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables is m x m
+MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables, when built, is m x m
 ELEMENT_DTYPE = np.uint16   # of every array of element indices an algebra holds
 assert MAX_ALGEBRA_SIZE <= 1 << 16, "element indices must fit ELEMENT_DTYPE"
 _TABLE_BLOCK = 1 << 20      # table entries computed at a time
@@ -38,32 +42,48 @@ VALIDATE_CAP = 320
 BN_CAP = 5
 
 
+_TABLES = ("leq", "join", "meet", "imp")
+
+
 @dataclass(frozen=True, eq=False)
 class BrouwerAlgebra:
-    leq: np.ndarray          # bool (m, m)
-    join: np.ndarray         # ELEMENT_DTYPE (m, m), the lattice +
-    meet: np.ndarray         # ELEMENT_DTYPE (m, m), the lattice x
-    imp: np.ndarray          # ELEMENT_DTYPE (m, m)
+    # The four tables; all None for a poset-backed algebra, which builds them
+    # from its poset and masks when one is first read (see __getattr__).
+    leq: np.ndarray | None   # bool (m, m)
+    join: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice +
+    meet: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice x
+    imp: np.ndarray | None   # ELEMENT_DTYPE (m, m)
     bottom: int
     top: int
     labels: tuple[str, ...]
     provenance: str
     poset: Poset | None = None
-    open_masks: np.ndarray | None = None  # uint64 per element, when poset-backed
+    open_masks: np.ndarray | None = None  # uint64 per element, ascending, when poset-backed
     automorphisms: np.ndarray | None = None  # ELEMENT_DTYPE (g, m) element permutations
 
     def __post_init__(self):
         """Takes the element arrays in any integer dtype and stores them in
         ELEMENT_DTYPE, after refusing more than MAX_ALGEBRA_SIZE elements and
         every entry outside [0, m): narrowing first would wrap -1 or
-        2**16 + x onto a valid-looking element."""
-        m = self.leq.shape[0]
+        2**16 + x onto a valid-looking element.  Tables left out (all four
+        None) are dropped from the instance, to be built when first read."""
+        given = [getattr(self, t) is not None for t in _TABLES]
+        if any(given) and not all(given):
+            raise InputError("an algebra takes all four tables or none of them")
+        lazy = not any(given)
+        if lazy:
+            if self.poset is None or self.open_masks is None:
+                raise InputError("an algebra without tables needs its poset and up-set masks")
+            for t in _TABLES:
+                object.__delattr__(self, t)
+        m = self.size
         if m > MAX_ALGEBRA_SIZE:
             raise ResourceLimitError(f"{self.provenance} has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-        self.leq.setflags(write=False)
-        for name in ("join", "meet", "imp", "automorphisms"):
+        if not lazy:
+            self.leq.setflags(write=False)
+        for name in ("automorphisms",) if lazy else ("join", "meet", "imp", "automorphisms"):
             t = getattr(self, name)
-            if t is None:
+            if t is None:  # automorphisms are optional
                 continue
             if t.ndim != 2 or t.shape[1] != m or (t.shape[0] != m and name != "automorphisms"):
                 raise InputError(f"{name} table shape {t.shape} does not match size {m}")
@@ -77,9 +97,30 @@ class BrouwerAlgebra:
                 object.__setattr__(self, name, t)
             t.setflags(write=False)
 
+    def __getattr__(self, name):
+        """Reached only for an attribute the instance lacks: a table of a
+        poset-backed algebra not read before.  All four are built then, by
+        ``_up_set_tables`` in the element numbering of the masks, and kept."""
+        masks = self.__dict__.get("open_masks")
+        if name not in _TABLES or masks is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        for t_name, t in zip(_TABLES, _up_set_tables(self.poset, masks, self.automorphisms)):
+            t.setflags(write=False)
+            object.__setattr__(self, t_name, t)
+        return self.__dict__[name]
+
     @property
     def size(self) -> int:
-        return self.leq.shape[0]
+        return len(self.open_masks) if self.open_masks is not None else self.leq.shape[0]
+
+    @cached_property
+    def operations(self) -> kernels.Operations:
+        """The algebra as the kernels compute in it: on the up-set masks when
+        it has a poset, which builds no table, else on its tables."""
+        if self.open_masks is not None:
+            return kernels.mask_operations(self.open_masks, self.poset.down_masks)
+        tables = (self.join, self.meet, self.imp)
+        return kernels.Operations(*map(kernels.table_operation, tables), self.bottom, self.top)
 
     def le(self, x: int, y: int) -> bool:
         return bool(self.leq[x, y])
@@ -244,21 +285,21 @@ def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
     and numbered by ascending mask: bottom = whole carrier, top = empty set;
     its provenance is ``B(name of p)`` unless given.
-    The automorphisms of p, when it carries them, become element
-    permutations of the algebra, lifted before the tables: the table builder
-    then computes one row per orbit and fills the others by permutation."""
+    It holds p, its masks and, when p carries them, p's automorphisms lifted
+    to element permutations; the tables are built when first read, and the
+    table builder then computes one row per orbit and fills the others by
+    permutation."""
     masks = open_sets(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
     auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
-    leq, join, meet, imp = _up_set_tables(p, masks, auts)
     labels = tuple(
         "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
         for u in masks.tolist()
     )
     return BrouwerAlgebra(
-        leq=leq, join=join, meet=meet, imp=imp,
+        leq=None, join=None, meet=None, imp=None,
         bottom=m - 1, top=0,
         labels=labels, provenance=provenance or f"B({p.name})",
         poset=p, open_masks=masks, automorphisms=auts,

@@ -4,35 +4,45 @@ A formula reaches the kernels as a node list (``logic.compile_formula``):
 one ``(op, x, y)`` triple per distinct subterm, in topological order, so
 every operand comes before the nodes that read it and the root is last.
 
-    op 0: variable x                      op 2: join[x, y]
-    op 1: the bottom (x = 0) or top (1)   op 3: meet[x, y]
-                                          op 4: imp[x, y]
+    op 0: variable x                      op 2: join(x, y)
+    op 1: the bottom (x = 0) or top (1)   op 3: meet(x, y)
+                                          op 4: imp(x, y)
 
 An operator's x and y are node indices.  The constants are symbolic: the
 kernel reads the bottom and top off the algebra it scans, so one node list
 serves every algebra.
 
+An algebra reaches the kernels as its three operations, the values of its
+bounds and, optionally, the value of each element (``Operations``).  Two
+kinds exist.  On element indices, an operation is one lookup in its m x m
+table on ``x * m + y`` (``table_operation``; a table passed where an
+operation is expected is read so).  Its values have the table's dtype, at
+least uint16: the index is formed in that dtype while m * m - 1 fits uint16
+(up to m = 256), and above that by ``np.multiply`` with ``dtype=intp``,
+which no promotion rule can narrow.  On the up-set masks of a poset
+(``mask_operations``, Birkhoff's representation), an element's value is its
+mask in the narrowest unsigned dtype that holds the poset, join is ``&``,
+meet is ``|``, and ``U -> V = P \\ down(U \\ V)`` is one lookup per 16 bits of
+``U & ~V`` in a complemented down-closure table (``imp_luts``).  An element
+is the rank of its mask, so both kinds number the elements alike.
+
 ``_run`` is the one interpreter, and ``evaluate`` its public form.  Its
-leaves are one int array per variable, and the arrays broadcast against
-each other: each operator node is one table lookup on ``x * m + y``, so a
-node's array carries only the axes of the variables it contains, and a
-constant stays a scalar.  An operator node's values have the tables'
-dtype, at least uint16: the index is formed in that dtype while m * m - 1
-fits uint16 (up to m = 256), and above that by ``np.multiply`` with
-``dtype=intp``, which no promotion rule can narrow.  A node's value is
-dropped after its last reader, so a run holds only the values that are
-still to be read.
+leaves are one value array per variable, and the arrays broadcast against
+each other: each operator node is one call of its operation, so a node's
+array carries only the axes of the variables it contains, and a constant
+stays a scalar.  A node's value is dropped after its last reader, so a run
+holds only the values that are still to be read.
 
 ``first_fail`` scans valuation indices in mixed radix, the first variable
 most significant.  The trailing j variables, the most with m**j <= _BLOCK,
-are broadcast axes: ``arange(m)`` on axis 1 + t for the t-th of them, built
-once per scan.  The m**j valuations that share the values of the leading
-variables form a block.  A step of the scan covers up to _BLOCK // m**j
-consecutive blocks: the leading variables are decoded with
-``valuation_digits``, one row per block, and enter as (c, 1, ..., 1)
-columns.  The root, broadcast to (c, m, ..., m), holds the step's
-valuations in index order; a range that starts or ends inside a block is
-sliced out of it.
+are broadcast axes: the values of the m elements on axis 1 + t for the t-th
+of them, built once per scan.  The m**j valuations that share the values of
+the leading variables form a block.  A step of the scan covers up to
+_BLOCK // m**j consecutive blocks: the leading variables are decoded with
+``valuation_digits``, one row per block, and enter as the values of those
+digits in (c, 1, ..., 1) columns.  The root, broadcast to (c, m, ..., m),
+holds the step's valuations in index order; a range that starts or ends
+inside a block is sliced out of it.
 
 Two things make a scan with leading variables cheaper.  A node that reads
 no leading variable, itself or through its operands, has the same value in
@@ -49,13 +59,16 @@ and the least failing index is unchanged.  So a scan of a sub-range of the
 space skips only blocks whose image lies inside that range.
 
 ``imp_masks`` computes one block of the implication of an up-set algebra on
-bitmasks, ``U -> V = P \\ down(U \\ V)``.  The down-closure is a union of
+uint64 bitmasks, for the table builder.  The down-closure is a union of
 table lookups, one per byte of the mask (``lut_union``), in the tables
 ``down_luts`` builds once per poset from its principal down-sets.  The same
 lookups, in tables built from singletons, permute the bits of masks.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +77,7 @@ OP_VAR, OP_CONST, OP_JOIN, OP_MEET, OP_IMP = 0, 1, 2, 3, 4
 _BLOCK = 1 << 15
 _NARROW = 1 << 16  # the most m * m whose indices x * m + y all fit uint16
 _BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)  # [i, w]: bit i of w
+_CHUNK = 16  # mask bits read by one complemented down-closure table
 
 
 def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
@@ -98,20 +112,77 @@ def _programs(nodes, lead):
 
 def _leaves(nodes, leaves, bottom, top):
     """The values by node before a run: leaves[x] for variable x, the
-    element of each constant, None for the operators."""
+    value of each constant, None for the operators."""
     consts = (bottom, top)
     return [leaves[x] if op == OP_VAR else consts[x] if op == OP_CONST else None
             for op, x, _ in nodes]
 
 
-def _run(steps, vals, tables, m):
+def table_operation(table):
+    """The operation of an m x m table of element indices, on index arrays:
+    one lookup on x * m + y, formed in intp above m = 256."""
+    m = table.shape[0]
+    flat = table.ravel()
+    if m * m > _NARROW:
+        return lambda x, y: flat.take(np.multiply(x, m, dtype=np.intp) + y)
+    return lambda x, y: flat.take(x * m + y)
+
+
+def _operations(join, meet, imp):
+    """The operations by op code; a table stands for its lookup."""
+    return (None, None) + tuple(op if callable(op) else table_operation(op)
+                                for op in (join, meet, imp))
+
+
+@dataclass(frozen=True, eq=False)
+class Operations:
+    """An algebra as the kernels compute in it: its three operations, the
+    values of its bottom and top, and the value of each element, or None
+    when the values are the element indices."""
+    join: Callable
+    meet: Callable
+    imp: Callable
+    bottom: object
+    top: object
+    values: np.ndarray | None = None
+
+    def value(self, x):
+        """The value of element x (an int or an index array)."""
+        return x if self.values is None else self.values.take(x)
+
+    def element(self, v):
+        """The element of value v: on masks, the rank of the mask."""
+        return v if self.values is None else self.values.searchsorted(v)
+
+
+def mask_operations(masks, down_masks) -> Operations:
+    """The operations of the algebra of all up-sets of a poset, on their
+    masks: masks lists them in ascending order, down_masks holds the
+    poset's principal down-sets.  The values are copies of the masks in the
+    narrowest unsigned dtype that holds the poset's bits."""
+    dtype = np.min_scalar_type((1 << len(down_masks)) - 1)
+    values = masks.astype(dtype)
+    first, *rest = imp_luts(down_masks, dtype)
+    low = (1 << _CHUNK) - 1
+
+    def imp(u, v):
+        w = u & ~v
+        if not rest:  # a poset of at most _CHUNK elements: w indexes the table
+            return first.take(w)
+        out = first.take(w & low)
+        for k, t in enumerate(rest, 1):
+            out &= t.take(w >> _CHUNK * k & low)
+        return out
+
+    return Operations(np.bitwise_and, np.bitwise_or, imp, values[-1], values[0], values)
+
+
+def _run(steps, vals, ops):
     """The interpreter: runs a program of ``_programs`` on vals, the values by
-    node, in place; tables[op] is the raveled m x m table of an operator.
+    node, in place; ops[op] is the function of an operator.
     Returns the root's value, or None if the root has none yet."""
-    wide = m * m > _NARROW
     for i, op, x, y, dead in steps:
-        row = np.multiply(vals[x], m, dtype=np.intp) if wide else vals[x] * m
-        vals[i] = tables[op].take(row + vals[y])
+        vals[i] = ops[op](vals[x], vals[y])
         for d in dead:
             vals[d] = None
     return vals[-1]
@@ -120,13 +191,13 @@ def _run(steps, vals, tables, m):
 def evaluate(nodes, leaves, join, meet, imp, bottom, top):
     """Value of a node list's root with leaves[i] as the value of variable i.
 
-    The leaves are int arrays that broadcast against each other; the result
-    has the shape the leaves of the formula's variables broadcast to, and is
-    a scalar for a formula without variables.
+    The leaves are value arrays that broadcast against each other; the
+    result has the shape the leaves of the formula's variables broadcast to,
+    and is a scalar for a formula without variables.  join, meet and imp are
+    operations or m x m tables, and bottom and top the values of the bounds.
     """
-    tables = (None, None, join.ravel(), meet.ravel(), imp.ravel())
     vals = _leaves(nodes, leaves, bottom, top)
-    return _run(_programs(nodes, 0)[0], vals, tables, join.shape[0])
+    return _run(_programs(nodes, 0)[0], vals, _operations(join, meet, imp))
 
 
 def _trailing(nvars: int, m: int) -> int:
@@ -139,21 +210,25 @@ def _trailing(nvars: int, m: int) -> int:
 
 
 def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
-               automorphisms=None):
+               automorphisms=None, values=None):
     """Least valuation index in [start, stop) where the root of the node list
     does not hit the bottom, the designated element, or -1.
+    join, meet and imp are operations or m x m tables; values, when given,
+    holds the value of each element that the operations take (else it is
+    the element's index), and bottom and top are values too.
     ``automorphisms``, a (g, m) array of element permutations that preserve
     the operations and fix the bottom, lets the scan skip blocks (see the
     module notes)."""
     j = _trailing(nvars, m)
     inner = m ** j
     lead = nvars - j
-    tables = (None, None, join.ravel(), meet.ravel(), imp.ravel())
-    trailing = [np.arange(m).reshape((1,) * (1 + t) + (m,) + (1,) * (j - 1 - t))
+    ops = _operations(join, meet, imp)
+    elements = np.arange(m) if values is None else values
+    trailing = [elements.reshape((1,) * (1 + t) + (m,) + (1,) * (j - 1 - t))
                 for t in range(j)]
     shared_prog, prog = _programs(nodes, lead)
     shared = _leaves(nodes, [None] * lead + trailing, bottom, top)
-    _run(shared_prog, shared, tables, m)
+    _run(shared_prog, shared, ops)
     columns = [(i, x) for i, (op, x, _) in enumerate(nodes) if op == OP_VAR and x < lead]
     auts = automorphisms if lead else None
     if auts is not None:
@@ -176,8 +251,8 @@ def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
                 blocks, digits = idx[keep].tolist(), digits[keep]
             vals = shared.copy()
             for i, x in columns:
-                vals[i] = digits[:, x].reshape((len(blocks),) + (1,) * j)
-        fails = np.asarray(_run(prog, vals, tables, m) != bottom)
+                vals[i] = elements.take(digits[:, x]).reshape((len(blocks),) + (1,) * j)
+        fails = np.asarray(_run(prog, vals, ops) != bottom)
         if not fails.any():
             continue
         fails = np.broadcast_to(fails, (len(blocks),) + (m,) * j).ravel()
@@ -220,3 +295,20 @@ def imp_masks(rows, cols, luts):
     out = lut_union(rows[:, None] & ~cols[None, :], luts)
     out ^= np.bitwise_or.reduce(luts[:, 255])  # P: every element lies in its own down-set
     return out
+
+
+def imp_luts(down_masks, dtype=np.uint64) -> list[np.ndarray]:
+    """Complemented down-closure tables of a poset whose principal down-sets
+    are down_masks, one per 16 bits: luts[k][w] is P minus the union of the
+    down-sets of the elements 16k + i over the bits i of w.  An n-element
+    poset has max(1, ceil(n / 16)) tables; the last has 2**(n - 16k)
+    entries, so a mask of the poset's own bits indexes it in range."""
+    n = len(down_masks)
+    luts = []
+    for lo in range(0, max(n, 1), _CHUNK):
+        width = min(_CHUNK, n - lo)
+        down = np.zeros(1 << width, dtype=np.uint64)
+        for b in range(width):
+            down[1 << b:2 << b] = down[:1 << b] | down_masks[lo + b]
+        luts.append((down ^ np.uint64((1 << n) - 1)).astype(dtype))
+    return luts

@@ -278,26 +278,28 @@ def render(f: Formula) -> str:
 
 def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int]) -> int:
     """Plain recursive evaluation (the slow path; also the independent
-    re-check used on reported countermodels)."""
+    re-check used on reported countermodels), in the algebra's operations:
+    on the up-set masks of a poset-backed algebra, which builds no table."""
+    ops = a.operations
 
-    def go(g) -> int:
+    def go(g):
         if isinstance(g, Var):
             if g.name not in valuation:
                 raise InputError(f"unbound variable {g.name!r}")
-            return a.check_element(valuation[g.name])
+            return ops.value(a.check_element(valuation[g.name]))
         if isinstance(g, Top):
-            return a.bottom
+            return ops.bottom
         if isinstance(g, Bot):
-            return a.top
+            return ops.top
         if isinstance(g, Not):
-            return int(a.imp[go(g.sub), a.top])
+            return ops.imp(go(g.sub), ops.top)
         if isinstance(g, And):
-            return int(a.join[go(g.left), go(g.right)])
+            return ops.join(go(g.left), go(g.right))
         if isinstance(g, Or):
-            return int(a.meet[go(g.left), go(g.right)])
-        return int(a.imp[go(g.left), go(g.right)])
+            return ops.meet(go(g.left), go(g.right))
+        return ops.imp(go(g.left), go(g.right))
 
-    return go(f)
+    return int(ops.element(go(f)))
 
 
 _OPS = {And: kernels.OP_JOIN, Or: kernels.OP_MEET, Imp: kernels.OP_IMP}
@@ -377,6 +379,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     returned is always the least one.  If the step count exceeds the
     budget, a seeded sampling mode must be requested explicitly and can
     only answer invalid-or-unknown.  Either mode refuses more than 2**63 - 1 valuations.
+    Both compute in ``a.operations``, on the up-set masks of a poset-backed
+    algebra, so neither builds its tables.
     The scan is single-threaded: ``workers`` must be 1, the value the benchmark
     harness passes, and the keyword goes once the harness stops passing it.
     """
@@ -391,12 +395,13 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     nodes, length = compile_formula(f, var_order)
     steps = total * length
     budget = evaluation_budget() if budget is None else _check_budget(budget)
+    if steps > budget and sample_seed is None:
+        raise ResourceLimitError(
+            f"exhaustive check needs {total} valuations (~{steps} steps) "
+            f"> budget {budget}; pass a sampling seed for sampling mode")
+    ops = a.operations
 
     if steps > budget:
-        if sample_seed is None:
-            raise ResourceLimitError(
-                f"exhaustive check needs {total} valuations (~{steps} steps) "
-                f"> budget {budget}; pass a sampling seed for sampling mode")
         count = max(1, budget // length)
         rng = np.random.default_rng(sample_seed)
         best = None
@@ -404,9 +409,9 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
         while done < count:
             block = min(count - done, 1 << 15)
             idxs = rng.integers(0, total, size=block, dtype=np.int64)
-            vals = kernels.valuation_digits(idxs, k, m)
-            res = kernels.evaluate(nodes, vals.T, a.join, a.meet, a.imp, a.bottom, a.top)
-            bad = np.flatnonzero(np.broadcast_to(res != a.bottom, idxs.shape))
+            vals = ops.value(kernels.valuation_digits(idxs, k, m))
+            res = kernels.evaluate(nodes, vals.T, ops.join, ops.meet, ops.imp, ops.bottom, ops.top)
+            bad = np.flatnonzero(np.broadcast_to(res != ops.bottom, idxs.shape))
             if bad.size:
                 cand = int(idxs[bad].min())
                 best = cand if best is None else min(best, cand)
@@ -415,8 +420,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             return ValidityReport(f, a, None, None, None, count, "sampling")
         return _refuted(f, a, var_order, best, count, "sampling")
 
-    first = kernels.first_fail(nodes, k, m, a.join, a.meet, a.imp,
-                               a.bottom, a.top, 0, total, a.automorphisms)
+    first = kernels.first_fail(nodes, k, m, ops.join, ops.meet, ops.imp, ops.bottom, ops.top,
+                               0, total, a.automorphisms, ops.values)
     if first < 0:
         return ValidityReport(f, a, True, None, None, total, "exhaustive")
     return _refuted(f, a, var_order, first, first + 1, "exhaustive")

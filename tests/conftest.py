@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from medlat.logic import parse
+from medlat.logic import And, Bot, Imp, Not, Or, Top, Var, parse
 from medlat.poset import Poset, make_poset
 
 
@@ -45,3 +47,18 @@ def clause_formula(nvars: int, *targets: int):
         "(" + " | ".join(f"~{v}" if b == "1" else v
                          for v, b in zip(names, format(t, f"0{nvars}b"))) + ")"
         for t in targets))
+
+
+def random_formula(rng: random.Random, names, d: int):
+    """A seeded random formula over names, of depth at most d."""
+    if d == 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.8:
+            return Var(rng.choice(names))
+        return Top() if r < 0.9 else Bot()
+    k = rng.randrange(4)
+    if k == 0:
+        return Not(random_formula(rng, names, d - 1))
+    left = random_formula(rng, names, d - 1)
+    right = random_formula(rng, names, d - 1)
+    return (And, Or, Imp)[k - 1](left, right)

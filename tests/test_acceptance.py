@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_formula
 from medlat.algebra import (
     bn,
     from_poset,
@@ -31,7 +32,6 @@ from medlat.logic import (
     AXIOM_TEXT,
     And,
     Bot,
-    Imp,
     Not,
     Or,
     Top,
@@ -123,20 +123,6 @@ def test_03_arrow_agreement(report):
             f"min-scan on all pairs for n = 1..4 ({t.elapsed:.1f}s)")
 
 
-def _random_formula(rng: random.Random, names, d: int):
-    if d == 0 or rng.random() < 0.2:
-        r = rng.random()
-        if r < 0.8:
-            return Var(rng.choice(names))
-        return Top() if r < 0.9 else Bot()
-    k = rng.randrange(4)
-    if k == 0:
-        return Not(_random_formula(rng, names, d - 1))
-    l = _random_formula(rng, names, d - 1)
-    r = _random_formula(rng, names, d - 1)
-    return (And, Or, Imp)[k - 1](l, r)
-
-
 def _truth_table_taut(f) -> bool:
     from medlat.logic import variables
     names = variables(f)
@@ -166,7 +152,7 @@ def test_04_classical_calibration(report):
     b1 = bn(1)
     mismatches = 0
     for _ in range(1000):
-        f = _random_formula(rng, names, 6)
+        f = random_formula(rng, names, 6)
         if bool(is_valid(f, b1).valid) != _truth_table_taut(f):
             mismatches += 1
     assert mismatches == 0

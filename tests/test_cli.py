@@ -383,6 +383,17 @@ def test_json_export_is_refused_above_the_budget(capsys, monkeypatch, budget, ex
         assert json.loads(out)["size"] == 19
 
 
+def test_json_export_of_bn5_is_refused_before_any_table(capsys, monkeypatch):
+    """bn:5's size comes from its up-set masks, so its 4 x 7580^2 entries are
+    refused under the default budget before its tables are built."""
+    fresh = medlat.algebra.bn.__wrapped__(5)  # not the cached bn(5), whose tables other tests read
+    monkeypatch.setattr("medlat.algebra.bn", lambda n: fresh)
+    monkeypatch.delenv("MEDLAT_BUDGET", raising=False)
+    rc, out, err = run(capsys, "export", "--algebra", "bn:5")
+    assert rc == 2 and out == "" and "229825600 table entries" in err
+    assert not {"leq", "join", "meet", "imp"} & vars(fresh).keys()
+
+
 @pytest.mark.parametrize("argv", [
     ("countermodel", "p", "--parallel", "2"),
     ("verify", "iso", "--parallel", "2"),

@@ -386,8 +386,8 @@ def _record_runs(monkeypatch):
     runs = []
     run = kernels._run
 
-    def recording(steps, vals, tables, m):
-        out = run(steps, vals, tables, m)
+    def recording(steps, vals, ops):
+        out = run(steps, vals, ops)
         runs.append(([step[0] for step in steps], out))
         return out
 
