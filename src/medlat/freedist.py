@@ -6,6 +6,11 @@ stored as the unique antichain family of nonempty generator subsets.  The
 empty family is the bottom; the family of all singletons is the top.
 Implication keeps exactly the components of the right-hand side that do
 not sit below the left-hand side.
+
+The operations on ``FreeElement`` work one pair at a time and are the
+reference.  ``free_algebra`` builds its tables on family masks instead: bit
+s - 1 of a mask stands for the generator subset s, so a family is one int
+and each table is a few numpy passes over all pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ELEMENT_DTYPE, BrouwerAlgebra, bn
+from .algebra import BrouwerAlgebra, bn
 from .algebra import AlgebraMap, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
@@ -128,11 +133,18 @@ def free_neg(a: FreeElement) -> FreeElement:
 # enumeration and tables
 # ---------------------------------------------------------------------------
 
+def _check_generator_count(n: int, cap: int, what: str) -> None:
+    """Refuse n below 1 as an input error before n above cap as a limit."""
+    if n < 1:
+        raise InputError(f"{what} needs n >= 1, got n={n}")
+    if n > cap:
+        raise ResourceLimitError(f"{what} cap is {cap}, got n={n}")
+
+
 @lru_cache(maxsize=None)
 def free_enumerate(n: int) -> tuple[FreeElement, ...]:
     """All normal forms: antichain families over the nonempty subsets of n."""
-    if not 1 <= n <= FREE_CAP:
-        raise ResourceLimitError(f"free_enumerate cap is {FREE_CAP}, got n={n}")
+    _check_generator_count(n, FREE_CAP, "free_enumerate")
     subsets = sorted(
         tuple(b for b in range(n) if s >> b & 1)
         for s in range(1, 1 << n)
@@ -155,28 +167,63 @@ def free_enumerate(n: int) -> tuple[FreeElement, ...]:
     return tuple(sorted(out, key=lambda e: e.family))
 
 
+def _family_mask(e: FreeElement) -> int:
+    """e's components as one int: bit s - 1 for the generator subset s."""
+    return sum(1 << (sum(1 << i for i in comp) - 1) for comp in e.family)
+
+
+def _subset_shifts(n: int) -> list[tuple[int, int]]:
+    """Per generator i: the family bits of the subsets s without i, and the
+    shift 2**i, which moves bit s - 1 to bit (s + 2**i) - 1."""
+    return [(sum(1 << (s - 1) for s in range(1, 1 << n) if not s >> i & 1), 1 << i)
+            for i in range(n)]
+
+
+def _up(g, shifts):
+    """The families of every superset of a member (U(F)), adding one
+    generator at a time."""
+    for keep, shift in shifts:
+        g = g | (g & keep) << shift
+    return g
+
+
+def _minimal(g, shifts):
+    """The inclusion-minimal members (``_prune`` on masks): a member goes
+    when it is one generator more than some superset of a member."""
+    up = _up(g, shifts)
+    above = 0
+    for keep, shift in shifts:
+        above = above | (up & keep) << shift
+    return g & ~above
+
+
 @lru_cache(maxsize=None)
 def free_algebra(n: int) -> tuple[BrouwerAlgebra, tuple[FreeElement, ...]]:
-    """Operation tables of the free lattice over its enumerated normal forms."""
-    if n > ISO_CAP:
-        raise ResourceLimitError(
-            f"free_algebra builds quadratic tables; cap is {ISO_CAP}, got n={n}")
+    """Operation tables of the free lattice over its enumerated normal forms.
+
+    On family masks F with U = ``_up``(F): a <= b iff F_a lies inside U_b,
+    a + b = min(F_a | F_b), a x b = min(U_a & U_b), and a -> b = F_b minus
+    U_a, an antichain already.  Each result is numbered by the mask lookup
+    of the algebra module; a result that is no normal form is refused."""
+    _check_generator_count(n, ISO_CAP, "free_algebra")
     elems = free_enumerate(n)
-    index = {e: i for i, e in enumerate(elems)}
-    m = len(elems)
-    leq = np.zeros((m, m), dtype=bool)
-    join = np.zeros((m, m), dtype=ELEMENT_DTYPE)
-    meet = np.zeros((m, m), dtype=ELEMENT_DTYPE)
-    imp = np.zeros((m, m), dtype=ELEMENT_DTYPE)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            leq[i, j] = free_leq(a, b)
-            join[i, j] = index[free_join(a, b)]
-            meet[i, j] = index[free_meet(a, b)]
-            imp[i, j] = index[free_imp(a, b)]
+    shifts = _subset_shifts(n)
+    fam = np.array([_family_mask(e) for e in elems], dtype=np.int64)
+    up = _up(fam, shifts)
+    lookup = _position_tables(fam, (1 << n) - 1)
+
+    def number(g: np.ndarray) -> np.ndarray:
+        try:
+            return _index_of_masks(lookup, g)
+        except InputError:
+            raise MedlatError(f"free:{n} table entry is not a normal form") from None
+
     alg = BrouwerAlgebra(
-        leq, join, meet, imp,
-        index[bottom(n)], index[top(n)],
+        (fam[:, None] & ~up[None, :]) == 0,
+        number(_minimal(fam[:, None] | fam[None, :], shifts)),
+        number(_minimal(up[:, None] & up[None, :], shifts)),
+        number(fam[None, :] & ~up[:, None]),
+        elems.index(bottom(n)), elems.index(top(n)),
         tuple(render_free(e) for e in elems),
         f"free:{n}",
     )
@@ -213,8 +260,7 @@ def free_to_open_mask(e: FreeElement) -> int:
 
 def iso_to_bn(n: int) -> tuple[AlgebraMap, tuple[FreeElement, ...]]:
     """Verified B-isomorphism from the free-lattice tables onto bn(n)."""
-    if not 1 <= n <= ISO_CAP:
-        raise ResourceLimitError(f"iso_to_bn cap is {ISO_CAP}, got n={n}")
+    _check_generator_count(n, ISO_CAP, "iso_to_bn")
     falg, elems = free_algebra(n)
     balg = bn(n)
     if falg.size != balg.size:

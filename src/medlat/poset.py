@@ -222,15 +222,28 @@ def powerset_poset(n: int) -> Poset:
 # Canonical forms and enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
+def _neighbours(rows: list) -> tuple[list, list]:
+    """Per element of an order given as row lists, the elements strictly
+    below it and those strictly above it, ascending."""
+    below = [[j for j, b in enumerate(col) if b and j != i] for i, col in enumerate(zip(*rows))]
+    above = [[j for j, b in enumerate(row) if b and j != i] for i, row in enumerate(rows)]
+    return below, above
+
+
 def _refine_colors(leq: np.ndarray) -> list[int]:
-    n = leq.shape[0]
-    colors = [(int(leq[:, i].sum()), int(leq[i, :].sum())) for i in range(n)]
+    """The refined colour of each element of an order matrix (``_colors``)."""
+    return _colors(*_neighbours(leq.tolist()))
+
+
+def _colors(below: list, above: list) -> list[int]:
+    """Colour refinement from (down-set size, up-set size): each round ranks
+    an element by its colour and the sorted colours below and above it, and
+    stops when the number of classes does not grow."""
+    n = len(below)
+    colors = [(len(below[i]) + 1, len(above[i]) + 1) for i in range(n)]
     for _ in range(n):
-        sig = [
-            (colors[i], tuple(sorted(colors[j] for j in range(n) if leq[j, i] and j != i)),
-             tuple(sorted(colors[j] for j in range(n) if leq[i, j] and j != i)))
-            for i in range(n)
-        ]
+        sig = [(c, tuple(sorted([colors[j] for j in b])), tuple(sorted([colors[j] for j in a])))
+               for c, b, a in zip(colors, below, above)]
         ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
         new = [ranked[s] for s in sig]
         if len(set(new)) == len(set(colors)):
@@ -240,29 +253,62 @@ def _refine_colors(leq: np.ndarray) -> list[int]:
     return colors
 
 
-def _candidate_perms(leq: np.ndarray):
-    """Permutations compatible with the color refinement, grouped by color class."""
-    n = leq.shape[0]
-    colors = _refine_colors(leq)
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        groups.setdefault(c, []).append(i)
-    ordered = [groups[c] for c in sorted(groups)]
-    for parts in itertools.product(*(itertools.permutations(g) for g in ordered)):
-        perm = [i for part in parts for i in part]
-        yield perm
+_KEY_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def canonical_form(p: Poset | np.ndarray) -> bytes:
-    """Lexicographically minimal relation matrix over color-compatible relabelings."""
+    """Lexicographically minimal relation matrix (row-major, one byte per
+    entry) over the relabelings that keep the refined colour classes in
+    colour order.  An array is taken as a partial order without checking.
+
+    Positions are filled in order, each by an element x of the first cell of
+    an ordered partition that starts as the colour classes.  Placing x splits
+    every cell into the elements not above x, then those above it: that is
+    the least row x can get, and the rows placed before stay as they are,
+    since a cell only ever holds elements with equal bits in them.  A branch
+    stops as soon as its rows exceed the best key's, and of twins (the same
+    strict down- and up-sets) only one is tried, because swapping two is an
+    automorphism that fixes every element placed.  Cells are bitmasks of
+    elements, and a row is an n-bit int with position 0 highest.
+    """
     leq = p.leq if isinstance(p, Poset) else _as_bool_matrix(p)
-    best = None
-    for perm in _candidate_perms(leq):
-        idx = np.asarray(perm)
-        key = leq[np.ix_(idx, idx)].astype(np.uint8).tobytes()
-        if best is None or key < best:
-            best = key
-    return best
+    n = leq.shape[0]
+    below, above = _neighbours(leq.tolist())
+    colors = _colors(below, above)
+    twin = [(tuple(below[x]), tuple(above[x])) for x in range(n)]
+    up = [sum(1 << y for y in above[x]) for x in range(n)]
+    best = None  # the rows of the least key so far
+
+    def search(placed: list, cells: list, key: list):
+        nonlocal best
+        if not cells:
+            if best is None or key < best:
+                best = key
+            return
+        first, tried = cells[0], set()
+        rest = first
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if twin[x] in tried:
+                continue
+            tried.add(twin[x])
+            ux, r = up[x], 0
+            for y in placed:
+                r = r << 1 | ux >> y & 1
+            r = r << 1 | 1
+            split = []
+            for cell in (first & ~(1 << x), *cells[1:]):
+                hi = cell & ux
+                r = r << cell.bit_count() | (1 << hi.bit_count()) - 1
+                split += [part for part in (cell ^ hi, hi) if part]
+            key_x = key + [r]
+            if best is None or key_x <= best[:len(key_x)]:
+                search(placed + [x], split, key_x)
+
+    classes = [sum(1 << x for x in range(n) if colors[x] == c) for c in sorted(set(colors))]
+    search([], classes, [])
+    return "".join(format(r, f"0{n}b") for r in best).encode().translate(_KEY_BYTES)
 
 
 def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray):

@@ -133,6 +133,19 @@ def test_a_budget_below_one_is_an_input_error(capsys, argv):
     assert err.startswith("error: --budget must be at least 1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("free:0", "error: free_algebra needs n >= 1, got n=0"),
+    ("free:-1", "error: free_algebra needs n >= 1, got n=-1"),
+    ("free:5", "error: free_algebra cap is 4, got n=5"),
+])
+def test_free_generator_counts_outside_1_to_4_exit_2(capsys, spec, message):
+    """A count below 1 is an input error and one above the cap a limit;
+    both are one error line and exit 2."""
+    rc, out, err = run(capsys, "check", "p", "--algebra", spec)
+    assert (rc, out) == (2, "")
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "p", "--algebra", "bn:1", "--sample", "1"),
     ("countermodel", "p | ~p"),

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from medlat.algebra import is_b_homomorphism, validate
-from medlat.errors import InputError, ResourceLimitError
+from medlat import freedist
+from medlat.errors import InputError, MedlatError, ResourceLimitError
 from medlat.freedist import (
     FreeElement,
     bottom,
@@ -143,8 +145,73 @@ def test_bounds():
 # tables and the isomorphism
 # ---------------------------------------------------------------------------
 
+# The tables of free_algebra(1..4) that `verify iso`, `verify arrow` and
+# free:<n> specs read: sha256 of leq, join, meet and imp, each with its dtype
+# and shape, then the bounds and the labels, as built pair by pair from the
+# per-element operations.
+FREE_TABLES_SHA256 = {
+    1: "abb30b3bc0f89320ebe40a70139eae8412698ab3359976b013c1719bc1c3ce55",
+    2: "d203618ad414bb2ab1957e0714db9f1b5009c7bcce9082fbe1ea63739132cc7d",
+    3: "ab076aa9bea636f471f75200f13bfb4e334c6b6ccf02c23e611afd9892df544a",
+    4: "4544cc138acb2b9b276a07cec1d8618c15f090f73e1b11c554126000f703df57",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FREE_TABLES_SHA256))
+def test_free_tables_are_frozen(n):
+    a, _ = free_algebra(n)
+    h = hashlib.sha256()
+    for t in (a.leq, a.join, a.meet, a.imp):
+        h.update(f"{t.dtype}{t.shape}".encode())
+        h.update(np.ascontiguousarray(t).data)
+    h.update(f"{a.bottom},{a.top}".encode())
+    h.update("\n".join(a.labels).encode())
+    assert h.hexdigest() == FREE_TABLES_SHA256[n]
+
+
+def _assert_tables_match_operations(n, pairs):
+    """Each sampled entry of free_algebra(n)'s tables against the
+    per-element operations on the same normal forms."""
+    a, elems = free_algebra(n)
+    for i, j in pairs:
+        x, y = elems[i], elems[j]
+        assert a.leq[i, j] == free_leq(x, y), (n, i, j)
+        assert elems[a.join[i, j]] == free_join(x, y), (n, i, j)
+        assert elems[a.meet[i, j]] == free_meet(x, y), (n, i, j)
+        assert elems[a.imp[i, j]] == free_imp(x, y), (n, i, j)
+    assert elems[a.bottom] == bottom(n) and elems[a.top] == top(n)
+    assert a.labels == tuple(map(render_free, elems))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bitmask_tables_match_the_operations_on_all_pairs(n):
+    m = len(free_enumerate(n))
+    _assert_tables_match_operations(n, itertools.product(range(m), repeat=2))
+
+
+def test_bitmask_tables_match_the_operations_on_sampled_pairs():
+    m = len(free_enumerate(4))
+    rng = np.random.default_rng(20)
+    _assert_tables_match_operations(4, rng.integers(0, m, size=(3000, 2)).tolist())
+
+
+def test_a_result_that_is_no_normal_form_is_refused(monkeypatch):
+    """Without the pruning to minimal components a join is a family with
+    comparable members, which the mask lookup does not find."""
+    monkeypatch.setattr(freedist, "_minimal", lambda g, shifts: g)
+    with pytest.raises(MedlatError, match="not a normal form"):
+        free_algebra.__wrapped__(2)
+
+
+@pytest.mark.parametrize("f", [free_enumerate, free_algebra, iso_to_bn])
+@pytest.mark.parametrize("n", [0, -1, -(10 ** 30)])
+def test_a_generator_count_below_one_is_an_input_error(f, n):
+    with pytest.raises(InputError, match="n >= 1"):
+        f(n)
+
+
 def test_free_algebra_validates():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         alg, elems = free_algebra(n)
         assert alg.size == len(elems)
         assert validate(alg) == []

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from medlat.algebra import from_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.poset import (
     MAX_UP_SETS,
+    _enumerate_canonical,
+    _refine_colors,
     antichain_poset,
     canonical_form,
     chain_poset,
@@ -280,6 +284,86 @@ def test_enumerate_posets_against_brute_force(n, count):
 
 def test_enumerate_posets_larger_counts():
     assert [len(enumerate_posets(n)) for n in (5, 6, 7)] == [63, 318, 2045]
+
+
+# The canonical keys of every poset with 1 to 7 elements, in the order
+# _enumerate_canonical gives them, which is the order the names P<n>.<k>
+# count (tests name P7.1924): sha256 of the concatenated keys.
+CANONICAL_KEYS_SHA256 = "50b0b8edec051d3783c692c03fb02c0235796f3fd92ce80d28e86f3550a742d0"
+
+
+def test_canonical_keys_are_frozen():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for key in _enumerate_canonical(n):
+            h.update(key)
+    assert h.hexdigest() == CANONICAL_KEYS_SHA256
+
+
+def _reference_colors(leq):
+    """Colour refinement computed on the matrix itself: the reference for
+    ``_refine_colors``."""
+    n = leq.shape[0]
+    colors = [(int(leq[:, i].sum()), int(leq[i, :].sum())) for i in range(n)]
+    for _ in range(n):
+        sig = [
+            (colors[i], tuple(sorted(colors[j] for j in range(n) if leq[j, i] and j != i)),
+             tuple(sorted(colors[j] for j in range(n) if leq[i, j] and j != i)))
+            for i in range(n)
+        ]
+        ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
+        new = [ranked[s] for s in sig]
+        if len(set(new)) == len(set(colors)):
+            colors = new
+            break
+        colors = new
+    return colors
+
+
+def _reference_canonical_form(leq):
+    """The least relation matrix over every product of permutations of the
+    colour classes, in colour order: the definition canonical_form keeps."""
+    colors = _reference_colors(leq)
+    classes = [[i for i, c in enumerate(colors) if c == k] for k in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(g) for g in classes)):
+        perm = np.array([i for part in parts for i in part], dtype=np.intp)
+        key = leq[np.ix_(perm, perm)].astype(np.uint8).tobytes()
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _relabelled_orders():
+    """Every poset with at most 6 elements under three seeded relabelings,
+    then the antichains and chains with at most 8 elements."""
+    rng = np.random.default_rng(20)
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            for _ in range(3):
+                perm = rng.permutation(n)
+                yield p.leq[np.ix_(perm, perm)]
+    for n in range(9):
+        yield antichain_poset(n).leq
+        yield chain_poset(n).leq
+
+
+def test_canonical_form_matches_the_permutation_definition():
+    count = 0
+    for leq in _relabelled_orders():
+        assert _refine_colors(leq) == _reference_colors(leq), leq.tolist()
+        assert canonical_form(leq) == _reference_canonical_form(leq), leq.tolist()
+        count += 1
+    assert count == 3 * (1 + 2 + 5 + 16 + 63 + 318) + 2 * 9
+
+
+def test_canonical_form_of_a_wide_antichain_tries_one_twin():
+    """The definition ranges over 20! relabelings here; twins cut the
+    search to one branch per position."""
+    start = time.perf_counter()
+    key = canonical_form(antichain_poset(20))
+    assert time.perf_counter() - start < 0.5
+    assert key == np.eye(20, dtype=np.uint8).tobytes()
 
 
 def test_enumerate_posets_pairwise_non_isomorphic():
