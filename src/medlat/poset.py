@@ -242,6 +242,10 @@ def _colors(below: list, above: list) -> list[int]:
     n = len(below)
     colors = [(len(below[i]) + 1, len(above[i]) + 1) for i in range(n)]
     for _ in range(n):
+        if len(set(colors)) == n:
+            # distinct colours rank by themselves, and the next round keeps them
+            ranked = {c: r for r, c in enumerate(sorted(colors))}
+            return [ranked[c] for c in colors]
         sig = [(c, tuple(sorted([colors[j] for j in b])), tuple(sorted([colors[j] for j in a])))
                for c, b, a in zip(colors, below, above)]
         ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
@@ -268,8 +272,10 @@ def canonical_form(p: Poset | np.ndarray) -> bytes:
     since a cell only ever holds elements with equal bits in them.  A branch
     stops as soon as its rows exceed the best key's, and of twins (the same
     strict down- and up-sets) only one is tried, because swapping two is an
-    automorphism that fixes every element placed.  Cells are bitmasks of
-    elements, and a row is an n-bit int with position 0 highest.
+    automorphism that fixes every element placed.  Once every cell holds one
+    element the rest of the order is forced, and its rows are read off at
+    once.  Cells are bitmasks of elements, and a row is an n-bit int with
+    position 0 highest.
     """
     leq = p.leq if isinstance(p, Poset) else _as_bool_matrix(p)
     n = leq.shape[0]
@@ -281,7 +287,13 @@ def canonical_form(p: Poset | np.ndarray) -> bytes:
 
     def search(placed: list, cells: list, key: list):
         nonlocal best
-        if not cells:
+        if len(cells) == n - len(placed):  # single elements: the order is forced
+            order = placed + [cell.bit_length() - 1 for cell in cells]
+            for x in order[len(placed):]:
+                ux, r = up[x] | 1 << x, 0
+                for y in order:
+                    r = r << 1 | ux >> y & 1
+                key = key + [r]
             if best is None or key < best:
                 best = key
             return
@@ -321,7 +333,8 @@ def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray):
     no cost bound: the worst case is exponential.
     """
     n = leq1.shape[0]
-    c1, c2 = _refine_colors(leq1), _refine_colors(leq2)
+    c1 = _refine_colors(leq1)
+    c2 = c1 if leq2 is leq1 else _refine_colors(leq2)
     if leq2.shape[0] != n or sorted(c1) != sorted(c2):
         return
     l1, l2 = leq1.tolist(), leq2.tolist()
@@ -347,24 +360,75 @@ def posets_isomorphic(p: Poset, q: Poset) -> bool:
     return next(order_isomorphisms(p.leq, q.leq), None) is not None
 
 
+def _least_in_orbit(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Whether each uint64 mask of elements is the least of its images under
+    the element permutations perms (one per row).  Each byte of the masks is
+    looked up in a per-row table of the images of that byte's values, built
+    by doubling from the singletons 1 << perm[i], so every row's image of
+    every mask takes one lookup per byte."""
+    byte = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    images = np.zeros((len(perms), len(masks)), dtype=np.uint64)
+    for lo in range(0, perms.shape[1], 8):
+        singles = np.uint64(1) << perms[:, lo:lo + 8].astype(np.uint64)
+        lut = np.zeros((len(perms), 1 << singles.shape[1]), dtype=np.uint64)
+        for i in range(singles.shape[1]):
+            lut[:, 1 << i:2 << i] = lut[:, :1 << i] | singles[:, i, None]
+        images |= lut[:, byte[:, lo // 8]]
+    return (images >= masks).all(axis=0)
+
+
 @lru_cache(maxsize=None)
 def _enumerate_canonical(n: int) -> tuple[bytes, ...]:
+    """The canonical keys of the n-element posets, one per isomorphism
+    class, ascending.
+
+    Each class is reached from a class P of size n - 1 by adding a new
+    maximal element x whose strict down-set is a down-set D of P.  Most
+    children that repeat a class are not keyed:
+
+    - For an automorphism s of P, D and s(D) give isomorphic children, so
+      only the D whose up-set complement is the least mask of its orbit
+      under Aut(P) is tried.  Aut(P) is trivial when P's refined colours
+      are all distinct, and is not computed then.
+    - A child is keyed only when no other maximal element has a larger
+      profile than x.  The profile of y is the sum of B**|down(z)| over the
+      z <= y, with B = n: its digits count the elements below y by the size
+      of their down-sets, so it is an isomorphism invariant.  Adding x
+      changes no down-set of P, so the profiles of P's maximal elements are
+      read once per parent.
+
+    No class is lost.  Every class C has a maximal element y with the
+    largest profile.  Deleting y leaves a poset isomorphic to some P of size
+    n - 1, and the isomorphism takes y's strict down-set to a down-set D' of
+    P.  The kept representative D of D''s orbit rebuilds C with x in y's
+    place, so x has the largest profile and that child is keyed.  Maximal
+    elements with equal profiles that no automorphism swaps still give
+    repeats; ``seen`` drops them.
+    """
     if n == 1:
         return (canonical_form(make_poset(np.ones((1, 1), dtype=bool))),)
     seen: set[bytes] = set()
-    full = np.uint64((1 << (n - 1)) - 1)
-    bits = np.uint64(1) << np.arange(n - 1, dtype=np.uint64)
-    for key in _enumerate_canonical(n - 1):
-        base = np.frombuffer(key, dtype=np.uint8).reshape(n - 1, n - 1).astype(bool)
-        parent = Poset(base, tuple(str(i) for i in range(n - 1)))
-        # adding one new maximal element; its strict down-set is any
-        # down-closed set, the complement of an up-set
-        below = ((full ^ open_sets(parent))[:, None] & bits) != 0
-        leq = np.zeros((n, n), dtype=bool)
-        leq[: n - 1, : n - 1] = base
-        leq[n - 1, n - 1] = True
-        for column in below:
-            leq[: n - 1, n - 1] = column
+    m = n - 1
+    full = np.uint64((1 << m) - 1)
+    bits = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    labels = tuple(str(i) for i in range(m))
+    leq = np.zeros((n, n), dtype=bool)
+    leq[m, m] = True
+    for key in _enumerate_canonical(m):
+        base = np.frombuffer(key, dtype=np.uint8).reshape(m, m).astype(bool)
+        ups = open_sets(Poset(base, labels))
+        if len(set(_refine_colors(base))) < m:
+            ups = ups[_least_in_orbit(ups, np.array(list(order_isomorphisms(base, base))))]
+        # the strict down-set of x is the complement of an up-set
+        below = ((full ^ ups)[:, None] & bits) != 0
+        weight = n ** base.sum(axis=0)            # B**|down(z)|; n**n fits int64 to n = 15
+        maximal = np.flatnonzero(base.sum(axis=1) == 1)
+        rivals = (weight @ base)[maximal]         # the profiles of P's maximal elements
+        profile = n ** (below.sum(axis=1) + 1) + below @ weight
+        best_rival = np.where(below[:, maximal], 0, rivals).max(axis=1, initial=0)
+        leq[:m, :m] = base
+        for column in below[profile >= best_rival]:
+            leq[:m, m] = column
             seen.add(canonical_form(leq))
     return tuple(sorted(seen))
 

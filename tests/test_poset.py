@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medlat
+import medlat.poset as poset_module
 from conftest import random_poset, transitive_closure_poset
 from medlat.algebra import from_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.poset import (
     MAX_UP_SETS,
     _enumerate_canonical,
+    _least_in_orbit,
     _refine_colors,
     antichain_poset,
     canonical_form,
@@ -298,6 +300,77 @@ def test_canonical_keys_are_frozen():
         for key in _enumerate_canonical(n):
             h.update(key)
     assert h.hexdigest() == CANONICAL_KEYS_SHA256
+
+
+def _generate_and_dedupe(max_n):
+    """The keys of the posets with 1..max_n elements, by the reference
+    enumeration: every down-set of every class of size n - 1 becomes the
+    strict down-set of a new maximal element, and every child is keyed."""
+    levels = [(canonical_form(np.ones((1, 1), dtype=bool)),)]
+    for n in range(2, max_n + 1):
+        seen = set()
+        full = np.uint64((1 << (n - 1)) - 1)
+        bits = np.uint64(1) << np.arange(n - 1, dtype=np.uint64)
+        for key in levels[-1]:
+            base = np.frombuffer(key, dtype=np.uint8).reshape(n - 1, n - 1).astype(bool)
+            parent = make_poset(base)
+            below = ((full ^ open_sets(parent))[:, None] & bits) != 0
+            leq = np.zeros((n, n), dtype=bool)
+            leq[: n - 1, : n - 1] = base
+            leq[n - 1, n - 1] = True
+            for column in below:
+                leq[: n - 1, n - 1] = column
+                seen.add(canonical_form(leq))
+        levels.append(tuple(sorted(seen)))
+    return levels
+
+
+def test_enumeration_matches_generate_and_dedupe():
+    for n, keys in enumerate(_generate_and_dedupe(6), start=1):
+        assert _enumerate_canonical(n) == keys, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_every_random_order_has_its_class_enumerated(n, data):
+    """Transitive closures of random DAGs, relabelled by a random
+    permutation: the key of each is one of the enumerated keys."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = data.draw(st.permutations(range(n)))
+    p = transitive_closure_poset(n, [(perm[i], perm[j]) for i, j in edges])
+    assert canonical_form(p) in set(_enumerate_canonical(n))
+
+
+def test_cold_enumeration_keys_about_one_child_per_class(monkeypatch):
+    """A cold build of sizes 1..7 keys at most 2,600 children for its 2,450
+    classes; keying every down-set of every parent took 6,378.  The build
+    leaves the cache full again."""
+    calls = 0
+    key = poset_module.canonical_form
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return key(p)
+
+    monkeypatch.setattr(poset_module, "canonical_form", counted)
+    _enumerate_canonical.cache_clear()
+    assert sum(len(_enumerate_canonical(n)) for n in range(1, 8)) == 2450
+    assert calls <= 2600
+
+
+def test_least_in_orbit_matches_a_loop():
+    """Against the least image of each mask over the rows, computed one row
+    and one bit at a time; widths 1..20 cover masks of one to three bytes."""
+    rng = np.random.default_rng(21)
+    for m in range(1, 21):
+        perms = np.array([rng.permutation(m) for _ in range(5)] + [np.arange(m)])
+        masks = np.unique(rng.integers(0, 1 << m, size=40)).astype(np.uint64)
+        want = [int(u) == min(sum(1 << int(g[i]) for i in range(m) if int(u) >> i & 1)
+                              for g in perms)
+                for u in masks]
+        assert _least_in_orbit(masks, perms).tolist() == want, m
 
 
 def _reference_colors(leq):
