@@ -20,14 +20,11 @@ from .algebra import (
     chain_algebra,
     factor_by_principal_filter,
     from_poset,
-    generated_subalgebra,
     interval,
     irreducibles,
     is_b_homomorphism,
     is_isomorphic,
-    meet_irreducible_decomposition,
     neg,
-    open_antichain_representation,
     plus_a_map,
     validate,
 )
@@ -59,10 +56,8 @@ from .logic import (
     is_valid,
     kp_class_check,
     lm_member,
-    one_variable_spectrum,
     parse,
     render,
-    theory_compare,
     variables,
 )
 

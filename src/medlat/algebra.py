@@ -197,8 +197,7 @@ def _index_of_masks(tables: list[np.ndarray], wanted: np.ndarray) -> np.ndarray:
 
 def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     """The element permutations U |-> sigma(U) of B(p), one row per
-    automorphism sigma of p.  The bits of the masks are permuted with
-    per-byte tables built from the singletons 1 << sigma(i)."""
+    automorphism sigma of p."""
     sigma = np.asarray(p.automorphisms)
     n = p.size
     if (sigma.ndim != 2 or sigma.shape[1] != n or not np.issubdtype(sigma.dtype, np.integer)
@@ -208,10 +207,7 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     if bad.any():
         raise InputError(f"row {int(np.flatnonzero(bad)[0])} of the automorphisms "
                          f"of {p.name!r} does not preserve the order")
-    one = np.uint64(1)
-    images = np.stack([kernels.lut_union(masks, kernels.down_luts(one << s.astype(np.uint64)))
-                       for s in sigma])
-    return _index_of_masks(_position_tables(masks, n), images)
+    return _index_of_masks(_position_tables(masks, n), kernels.permute_masks(masks, sigma))
 
 
 def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):
@@ -232,7 +228,7 @@ def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None
     diagonal are mirrored from above it."""
     m = len(masks)
     tables = _position_tables(masks, p.size)
-    luts = kernels.down_luts(p.down_masks)
+    luts = kernels.imp_luts(p.down_masks)
     leq = np.empty((m, m), dtype=bool)
     join = np.empty((m, m), dtype=ELEMENT_DTYPE)
     meet = np.empty((m, m), dtype=ELEMENT_DTYPE)
@@ -392,9 +388,13 @@ def validate(a: BrouwerAlgebra) -> list[Violation]:
         i, j, c = map(int, np.argwhere(bad)[0])
         out.append(Violation("meet-greatest", (i, j, c)))
 
-    witness = _distributivity_witness(a)
-    if witness is not None:
-        out.append(Violation("distributivity", witness))
+    # a x (b + c) = (a x b) + (a x c)
+    lhs = a.meet[ar[:, None, None], a.join[None, :, :]]
+    rhs = a.join[a.meet[:, :, None], a.meet[:, None, :]]
+    bad = lhs != rhs
+    if bad.any():
+        i, j, c = map(int, np.argwhere(bad)[0])
+        out.append(Violation("distributivity", (i, j, c)))
 
     # residuation: imp(a,b) is the least c with a + c >= b
     reach = a.leq[ar[None, :], a.join[ar[:, None], a.imp]]      # b <= a + (a->b)
@@ -410,25 +410,8 @@ def validate(a: BrouwerAlgebra) -> list[Violation]:
     return out
 
 
-def _distributivity_witness(a: BrouwerAlgebra) -> tuple[int, int, int] | None:
-    """The least (a, b, c) with a x (b + c) != (a x b) + (a x c), or None.
-    The check is cubic in size, so it is refused above ``VALIDATE_CAP``."""
-    if a.size > VALIDATE_CAP:
-        raise ResourceLimitError(f"the distributivity check is cubic in size; "
-                                 f"{a.size} elements exceeds cap {VALIDATE_CAP}")
-    ar = np.arange(a.size)
-    lhs = a.meet[ar[:, None, None], a.join[None, :, :]]
-    rhs = a.join[a.meet[:, :, None], a.meet[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    return tuple(map(int, bad[0])) if bad.size else None
-
-
-def is_distributive(a: BrouwerAlgebra) -> bool:
-    return _distributivity_witness(a) is None
-
-
 # ---------------------------------------------------------------------------
-# irreducibles and representations
+# irreducibles
 # ---------------------------------------------------------------------------
 
 def _irreducible_masks(a: BrouwerAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -452,34 +435,6 @@ def irreducibles(a: BrouwerAlgebra) -> tuple[list[int], list[int]]:
     """(meet_irreducibles, join_irreducibles), each sorted by element index."""
     meets, joins = _irreducible_masks(a)
     return np.flatnonzero(meets).tolist(), np.flatnonzero(joins).tolist()
-
-
-def meet_irreducible_decomposition(a: BrouwerAlgebra, x: int) -> list[int]:
-    """The unique antichain of meet-irreducibles whose meet is x
-    (the minimal meet-irreducibles above x).  Algebras of up-sets are
-    distributive by construction; tables without a poset are checked."""
-    x = a.check_element(x)
-    if a.poset is None and not is_distributive(a):
-        raise InputError("meet_irreducible_decomposition requires a distributive algebra")
-    above = np.flatnonzero(a.leq[x] & _irreducible_masks(a)[0])
-    minimal = above[a.leq[np.ix_(above, above)].sum(axis=0) == 1].tolist()
-    acc = a.top
-    for y in minimal:
-        acc = int(a.meet[acc, y])
-    if acc != x:
-        raise InputError(f"decomposition failed for element {x} (not distributive?)")
-    return minimal
-
-
-def open_antichain_representation(a: BrouwerAlgebra, x: int) -> list[int]:
-    """The minimal poset elements of the up-set of element x, the antichain
-    whose up-closure it is (poset-backed algebras): the members i whose
-    down-set meets the up-set in i alone."""
-    if a.poset is None or a.open_masks is None:
-        raise InputError("algebra has no poset provenance")
-    mask = a.open_masks[a.check_element(x)]
-    bits = np.uint64(1) << np.arange(a.poset.size, dtype=np.uint64)
-    return np.flatnonzero((a.poset.down_masks & mask) == bits).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +557,6 @@ class AlgebraMap:
                 and len(set(int(i) for i in self.image)) == self.source.size)
 
 
-def identity_map(a: BrouwerAlgebra) -> AlgebraMap:
-    return AlgebraMap(a, a, np.arange(a.size, dtype=np.int32))
-
-
 def is_b_homomorphism(f: AlgebraMap) -> tuple[bool, tuple | None]:
     """True iff f preserves join, meet, imp and both bounds; otherwise the
     first violating (operation, pair)."""
@@ -680,43 +631,8 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
 
 
 # ---------------------------------------------------------------------------
-# generated subalgebras and the KP predicate
+# the KP predicate
 # ---------------------------------------------------------------------------
-
-CLOSURE_OPS = ("join", "meet", "neg", "imp")
-
-
-def close_under(a: BrouwerAlgebra, start, ops=CLOSURE_OPS,
-                rounds: int | None = None) -> list[int]:
-    """Sorted elements reached from start by applying ops to all pairs (and
-    neg to all elements), for at most rounds rounds; None means until
-    nothing new appears."""
-    current = np.unique(np.asarray(start, dtype=np.int64))
-    binary = [getattr(a, op) for op in ops if op != "neg"]
-    done = 0
-    while rounds is None or done < rounds:
-        sub = np.ix_(current, current)
-        parts = [current] + [t[sub].ravel() for t in binary]
-        if "neg" in ops:
-            parts.append(a.imp[current, a.top])
-        new = np.unique(np.concatenate(parts))
-        if new.size == current.size:
-            break
-        current = new
-        done += 1
-    return current.tolist()
-
-
-def generated_subalgebra(a: BrouwerAlgebra, seeds, ops=CLOSURE_OPS) -> list[int]:
-    """Closure of seeds + {0, 1} under the chosen operations."""
-    seeds = [a.check_element(x) for x in seeds]
-    if not seeds:
-        raise InputError("generated_subalgebra needs at least one seed")
-    bad = set(ops) - set(CLOSURE_OPS)
-    if bad:
-        raise InputError(f"unknown operations: {sorted(bad)}")
-    return close_under(a, seeds + [a.bottom, a.top], ops)
-
 
 def all_negations_meet_irreducible(a: BrouwerAlgebra) -> tuple[bool, int | None]:
     """True iff -x is meet-irreducible for every element x; else the least

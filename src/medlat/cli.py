@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import algebra as alg
@@ -191,8 +192,11 @@ def cmd_export(args) -> int:
                                  f"more than the step budget {budget}")
     text = alg.algebra_to_dot(a) if args.dot else alg.algebra_to_json(a)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.output}: {e.strerror}") from e
     else:
         print(text)
     return EXIT_VALID
@@ -372,14 +376,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _drop_stdout() -> None:
+    """Point standard output at os.devnull, so that the interpreter's flush
+    at exit of what its buffer still holds cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if "budget" in vars(args) and args.budget is None:
             args.budget = lg.evaluation_budget()  # a bad MEDLAT_BUDGET is refused before any work
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
+        return code
     except MedlatError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as e:  # standard output failed: a closed pipe or a full disk
+        _drop_stdout()
+        print(f"error: cannot write the output: {e.strerror}", file=sys.stderr)
         return EXIT_ERROR
 
 

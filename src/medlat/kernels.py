@@ -1,4 +1,4 @@
-"""Numeric kernels: valuation-space scanning and up-set implication.
+"""Numeric kernels: valuation scans, up-set implication, bit permutation.
 
 A formula reaches the kernels as a node list (``logic.compile_formula``):
 one ``(op, x, y)`` triple per distinct subterm, in topological order, so
@@ -23,8 +23,9 @@ which no promotion rule can narrow.  On the up-set masks of a poset
 (``mask_operations``, Birkhoff's representation), an element's value is its
 mask in the narrowest unsigned dtype that holds the poset, join is ``&``,
 meet is ``|``, and ``U -> V = P \\ down(U \\ V)`` is one lookup per 16 bits of
-``U & ~V`` in a complemented down-closure table (``imp_luts``).  An element
-is the rank of its mask, so both kinds number the elements alike.
+``U & ~V`` in a complemented down-closure table (``imp_luts``, read by
+``imp_lookup``).  An element is the rank of its mask, so both kinds number
+the elements alike.
 
 ``_run`` is the one interpreter, and ``evaluate`` its public form.  Its
 leaves are one value array per variable, and the arrays broadcast against
@@ -59,10 +60,11 @@ and the least failing index is unchanged.  So a scan of a sub-range of the
 space skips only blocks whose image lies inside that range.
 
 ``imp_masks`` computes one block of the implication of an up-set algebra on
-uint64 bitmasks, for the table builder.  The down-closure is a union of
-table lookups, one per byte of the mask (``lut_union``), in the tables
-``down_luts`` builds once per poset from its principal down-sets.  The same
-lookups, in tables built from singletons, permute the bits of masks.
+uint64 bitmasks, for the table builder, with the scan's tables and lookup.
+``union_tables`` builds every table that maps a run of mask bits to the
+union of per-bit masks, by doubling: the down-closure tables (16 bits each)
+and the per-byte tables with which ``permute_masks`` moves the bits of masks
+under element permutations.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ OP_VAR, OP_CONST, OP_JOIN, OP_MEET, OP_IMP = 0, 1, 2, 3, 4
 
 _BLOCK = 1 << 15
 _NARROW = 1 << 16  # the most m * m whose indices x * m + y all fit uint16
-_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)  # [i, w]: bit i of w
 _CHUNK = 16  # mask bits read by one complemented down-closure table
+_LOW = (1 << _CHUNK) - 1
 
 
 def valuation_digits(idx: np.ndarray, nvars: int, m: int) -> np.ndarray:
@@ -162,17 +164,10 @@ def mask_operations(masks, down_masks) -> Operations:
     narrowest unsigned dtype that holds the poset's bits."""
     dtype = np.min_scalar_type((1 << len(down_masks)) - 1)
     values = masks.astype(dtype)
-    first, *rest = imp_luts(down_masks, dtype)
-    low = (1 << _CHUNK) - 1
+    luts = imp_luts(down_masks, dtype)
 
     def imp(u, v):
-        w = u & ~v
-        if not rest:  # a poset of at most _CHUNK elements: w indexes the table
-            return first.take(w)
-        out = first.take(w & low)
-        for k, t in enumerate(rest, 1):
-            out &= t.take(w >> _CHUNK * k & low)
-        return out
+        return imp_lookup(u & ~v, luts)
 
     return Operations(np.bitwise_and, np.bitwise_or, imp, values[-1], values[0], values)
 
@@ -267,48 +262,58 @@ def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
     return -1
 
 
-def down_luts(down_masks) -> np.ndarray:
-    """Per-byte down-closure tables of a poset whose principal down-sets are
-    down_masks: luts[b, w] is the union of the down-sets of the elements
-    8b + i over the bits i of w.  An n-element poset has max(1, ceil(n / 8))
-    tables."""
-    n = len(down_masks)
-    d = np.zeros(max(1, -(-n // 8)) * 8, dtype=np.uint64)
-    d[:n] = down_masks
-    return np.bitwise_or.reduce(_BYTE_BITS * d.reshape(-1, 8, 1), axis=1)
+def union_tables(singles, width: int) -> list[np.ndarray]:
+    """Per-bit union tables, built by doubling.  singles[..., i] is the
+    uint64 mask that bit i stands for; table k covers the bits
+    width * k .. width * k + w - 1, w = min(width, n - width * k), and
+    tables[k][..., x] is the union of singles[..., width * k + i] over the
+    bits i of x.  n bits give max(1, ceil(n / width)) tables, the last with
+    2**w entries per row, so a mask of n bits indexes every table in range."""
+    n = singles.shape[-1]
+    tables = []
+    for lo in range(0, max(n, 1), width):
+        w = min(width, n - lo)
+        t = np.zeros(singles.shape[:-1] + (1 << w,), dtype=np.uint64)
+        for b in range(w):
+            t[..., 1 << b:2 << b] = t[..., :1 << b] | singles[..., lo + b, None]
+        tables.append(t)
+    return tables
 
 
-def lut_union(w, luts):
-    """Union over the bytes b of the uint64 masks w of luts[b][byte b of w]."""
-    w = w.astype("<u8", copy=False)
-    byte = w.view(np.uint8).reshape(w.shape + (8,))  # byte b holds bits 8b..8b+7
-    out = luts[0].take(byte[..., 0])
-    for b in range(1, len(luts)):
-        out |= luts[b].take(byte[..., b])
+def imp_luts(down_masks, dtype=np.uint64) -> list[np.ndarray]:
+    """Complemented down-closure tables of a poset whose principal down-sets
+    are down_masks, one per 16 bits: luts[k][w] is P minus the union of the
+    down-sets of the elements 16k + i over the bits i of w, in dtype."""
+    full = np.uint64((1 << len(down_masks)) - 1)
+    return [(t ^ full).astype(dtype) for t in union_tables(down_masks, _CHUNK)]
+
+
+def imp_lookup(w, luts):
+    """P \\ down(w) for masks w, one lookup in ``imp_luts`` per 16 bits: with
+    w = U & ~V this is U -> V."""
+    if len(luts) == 1:  # a poset of at most _CHUNK elements: w indexes the table
+        return luts[0].take(w)
+    out = luts[0].take(w & _LOW)
+    for k in range(1, len(luts)):
+        out &= luts[k].take(w >> _CHUNK * k & _LOW)
     return out
 
 
 def imp_masks(rows, cols, luts):
     """Implication block of an up-set algebra, as bitmasks: for U in rows and
     V in cols, out[i, j] = U -> V = {a : [a) & U <= V} = P \\ down(U \\ V),
-    with down read off the tables of ``down_luts`` one byte of U \\ V at a time."""
-    out = lut_union(rows[:, None] & ~cols[None, :], luts)
-    out ^= np.bitwise_or.reduce(luts[:, 255])  # P: every element lies in its own down-set
+    read off the tables of ``imp_luts``."""
+    return imp_lookup(rows[:, None] & ~cols[None, :], luts)
+
+
+def permute_masks(masks, perms) -> np.ndarray:
+    """The images of uint64 masks of elements under element permutations:
+    out[g, i] is masks[i] with each bit j moved to perms[g, j].  Each byte
+    of a mask is one lookup in a per-row table of the images of that byte's
+    values (``union_tables`` of the singletons 1 << perms[g, j])."""
+    byte = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # byte b: bits 8b..8b+7
+    tables = union_tables(np.uint64(1) << perms.astype(np.uint64), 8)
+    out = tables[0].take(byte[:, 0], axis=1)
+    for b in range(1, len(tables)):
+        out |= tables[b].take(byte[:, b], axis=1)
     return out
-
-
-def imp_luts(down_masks, dtype=np.uint64) -> list[np.ndarray]:
-    """Complemented down-closure tables of a poset whose principal down-sets
-    are down_masks, one per 16 bits: luts[k][w] is P minus the union of the
-    down-sets of the elements 16k + i over the bits i of w.  An n-element
-    poset has max(1, ceil(n / 16)) tables; the last has 2**(n - 16k)
-    entries, so a mask of the poset's own bits indexes it in range."""
-    n = len(down_masks)
-    luts = []
-    for lo in range(0, max(n, 1), _CHUNK):
-        width = min(_CHUNK, n - lo)
-        down = np.zeros(1 << width, dtype=np.uint64)
-        for b in range(width):
-            down[1 << b:2 << b] = down[:1 << b] | down_masks[lo + b]
-        luts.append((down ^ np.uint64((1 << n) - 1)).astype(dtype))
-    return luts

@@ -19,7 +19,6 @@ from .algebra import (
     BrouwerAlgebra,
     all_negations_meet_irreducible,
     bn,
-    close_under,
     from_poset,
 )
 from .errors import InputError, ResourceLimitError
@@ -548,56 +547,8 @@ def classical_tautology(f: Formula, budget: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# theory comparison and the KP class
+# the KP class
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TheoryComparison:
-    rows: tuple[dict, ...]
-    left_subset_right: bool
-    right_subset_left: bool
-    left_witnesses: tuple[str, ...]   # valid on the left, not on the right
-    right_witnesses: tuple[str, ...]
-    errors: tuple[str, ...]
-
-    def to_dict(self):
-        return {
-            "rows": list(self.rows),
-            "left_subset_right": self.left_subset_right,
-            "right_subset_left": self.right_subset_left,
-            "left_witnesses": list(self.left_witnesses),
-            "right_witnesses": list(self.right_witnesses),
-            "errors": list(self.errors),
-        }
-
-
-def theory_compare(a1: BrouwerAlgebra, a2: BrouwerAlgebra, corpus,
-                   budget: int | None = None) -> TheoryComparison:
-    """Per-formula validity in both algebras, restricted-theory inclusion
-    flags, and separating witnesses.  Budget failures are recorded and
-    excluded from the inclusion claims."""
-    rows, errors = [], []
-    lw, rw = [], []
-    l_in_r = r_in_l = True
-    for f in corpus:
-        text = render(f)
-        try:
-            r1 = is_valid(f, a1, budget=budget)
-            r2 = is_valid(f, a2, budget=budget)
-        except ResourceLimitError as e:
-            errors.append(f"{text}: {e}")
-            rows.append({"formula": text, "error": str(e)})
-            continue
-        rows.append({"formula": text, "valid_left": r1.valid, "valid_right": r2.valid})
-        if r1.valid and not r2.valid:
-            l_in_r = False
-            lw.append(text)
-        if r2.valid and not r1.valid:
-            r_in_l = False
-            rw.append(text)
-    return TheoryComparison(tuple(rows), l_in_r, r_in_l,
-                            tuple(lw), tuple(rw), tuple(errors))
-
 
 @dataclass(frozen=True, eq=False)
 class KpClassReport:
@@ -643,29 +594,3 @@ def kp_class_check(max_size: int, budget: int | None = None) -> KpClassReport:
     return KpClassReport(tuple(pos), tuple(negl), tuple(fails),
                          tuple(nkv), tuple(nki), not fails)
 
-
-# ---------------------------------------------------------------------------
-# one-variable spectra
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    max_size: int
-    best_element: int
-    spectrum: tuple[int, ...]
-    sizes: tuple[int, ...]        # per starting element
-
-
-def one_variable_spectrum(a: BrouwerAlgebra, max_depth: int = 8) -> SpectrumReport:
-    """For each element p, close {p} under neg/join/meet/imp for max_depth
-    rounds and collapse to distinct values; report the largest spectrum."""
-    if not 0 <= max_depth <= 8:
-        raise InputError(f"depth must be in 0..8, got {max_depth}")
-    sizes = []
-    best = (0, -1, ())
-    for p in range(a.size):
-        current = close_under(a, [p], rounds=max_depth)
-        sizes.append(len(current))
-        if len(current) > best[0]:
-            best = (len(current), p, tuple(current))
-    return SpectrumReport(best[0], best[1], best[2], tuple(sizes))

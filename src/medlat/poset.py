@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
+from .kernels import permute_masks
 
 MAX_POSET_SIZE = 64        # the width of a uint64 up-set bitmask
 MAX_UP_SETS = 1 << 20      # up-sets one open-set enumeration may produce
@@ -362,19 +363,8 @@ def posets_isomorphic(p: Poset, q: Poset) -> bool:
 
 def _least_in_orbit(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Whether each uint64 mask of elements is the least of its images under
-    the element permutations perms (one per row).  Each byte of the masks is
-    looked up in a per-row table of the images of that byte's values, built
-    by doubling from the singletons 1 << perm[i], so every row's image of
-    every mask takes one lookup per byte."""
-    byte = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    images = np.zeros((len(perms), len(masks)), dtype=np.uint64)
-    for lo in range(0, perms.shape[1], 8):
-        singles = np.uint64(1) << perms[:, lo:lo + 8].astype(np.uint64)
-        lut = np.zeros((len(perms), 1 << singles.shape[1]), dtype=np.uint64)
-        for i in range(singles.shape[1]):
-            lut[:, 1 << i:2 << i] = lut[:, :1 << i] | singles[:, i, None]
-        images |= lut[:, byte[:, lo // 8]]
-    return (images >= masks).all(axis=0)
+    the element permutations perms (one per row)."""
+    return (permute_masks(masks, perms) >= masks).all(axis=0)
 
 
 @lru_cache(maxsize=None)

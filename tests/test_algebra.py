@@ -17,22 +17,16 @@ from medlat.algebra import (
     all_negations_meet_irreducible,
     bn,
     chain_algebra,
-    close_under,
     factor_by_principal_filter,
     from_poset,
     from_tables,
-    generated_subalgebra,
-    identity_map,
     interval,
     irreducibles,
     is_b_homomorphism,
-    is_distributive,
     is_isomorphic,
     join_irreducible,
     meet_irreducible,
-    meet_irreducible_decomposition,
     neg,
-    open_antichain_representation,
     plus_a_map,
     validate,
 )
@@ -47,7 +41,6 @@ from medlat.poset import (
     load_poset,
     open_sets,
     powerset_poset,
-    up_closure,
 )
 
 
@@ -306,31 +299,13 @@ def test_validate_cap():
         validate(from_poset(antichain_poset(9)))  # 512 elements
 
 
-def test_distributivity_check_cap():
-    """The distributivity check builds (m, m, m) arrays, so it is refused
-    above VALIDATE_CAP before any of them, whoever calls it.  The
-    decomposition checks only tables without a poset."""
-    a = from_poset(antichain_poset(9))  # 512 elements
-    with pytest.raises(ResourceLimitError, match="512 elements"):
-        is_distributive(a)
-    copy = from_tables(a.leq, a.join, a.meet, a.imp, a.bottom, a.top)
-    with pytest.raises(ResourceLimitError, match="512 elements"):
-        meet_irreducible_decomposition(copy, 0)
-
-
 def test_from_poset_refuses_oversized_algebra():
     with pytest.raises(ResourceLimitError, match="16384 elements"):
         from_poset(antichain_poset(14))
 
 
-def test_is_distributive():
-    assert is_distributive(bn(3))
-    leq, join, meet = _m3_lattice()
-    assert not is_distributive(from_tables(leq, join, meet, join, 0, 4))
-
-
 # ---------------------------------------------------------------------------
-# irreducibles and representations
+# irreducibles
 # ---------------------------------------------------------------------------
 
 def _irreducible_oracle(a, x, kind):
@@ -376,84 +351,6 @@ def test_irreducibles_match_the_table_definition():
         meets, joins = irreducibles(a)
         assert meets == [x for x in range(a.size) if _irreducible_oracle(a, x, "meet")]
         assert joins == [x for x in range(a.size) if _irreducible_oracle(a, x, "join")]
-
-
-def test_meet_decomposition_recovers_element(monkeypatch):
-    """Algebras of up-sets are distributive by construction, so their
-    decomposition runs no distributivity check: all 167 elements of bn(4)
-    decompose with the check made to fail."""
-    def no_check(a):
-        raise AssertionError("the distributivity check ran")
-    monkeypatch.setattr("medlat.algebra._distributivity_witness", no_check)
-    for a in (bn(2), bn(3), bn(4), chain_algebra(4)):
-        for x in range(a.size):
-            dec = meet_irreducible_decomposition(a, x)
-            acc = a.top
-            for y in dec:
-                acc = int(a.meet[acc, y])
-            assert acc == x
-            assert all(meet_irreducible(a, y) for y in dec)
-            # antichain
-            assert not any(a.leq[y, z] for y in dec for z in dec if y != z)
-
-
-def test_meet_decomposition_unique_antichain():
-    a = bn(2)
-    meets = [x for x in range(a.size) if meet_irreducible(a, x)]
-    for x in range(a.size):
-        hits = []
-        for r in range(1, len(meets) + 1):
-            for comb in itertools.combinations(meets, r):
-                if any(a.leq[y, z] for y in comb for z in comb if y != z):
-                    continue
-                acc = a.top
-                for y in comb:
-                    acc = int(a.meet[acc, y])
-                if acc == x:
-                    hits.append(sorted(comb))
-        assert hits == [meet_irreducible_decomposition(a, x)]
-
-
-def test_meet_decomposition_requires_distributivity():
-    leq, join, meet = _m3_lattice()
-    a = from_tables(leq, join, meet, join, 0, 4)
-    with pytest.raises(InputError):
-        meet_irreducible_decomposition(a, 0)
-
-
-def test_open_antichain_representation(fork):
-    a = from_poset(fork)
-    for u in range(a.size):
-        mins = open_antichain_representation(a, u)
-        mask = int(a.open_masks[u])
-        assert all(mask >> i & 1 for i in mins)
-        # minimal generators rebuild the open exactly
-        assert up_closure(fork, mins) == mask
-    with pytest.raises(InputError):
-        base = bn(2)
-        stripped = from_tables(base.leq, base.join, base.meet, base.imp,
-                               base.bottom, base.top)
-        open_antichain_representation(stripped, 0)
-
-
-def test_open_antichain_representation_brute_force():
-    """Every element of the algebras of all posets with at most 5 elements:
-    the result is the set of minimal members of the element's up-set, found
-    pair by pair, and its up-closure is the up-set again."""
-    checked = 0
-    for n in range(1, 6):
-        for p in enumerate_posets(n):
-            a = from_poset(p)
-            for x in range(a.size):
-                mask = int(a.open_masks[x])
-                members = [i for i in range(p.size) if mask >> i & 1]
-                minimal = [i for i in members
-                           if not any(j != i and p.leq[j, i] for j in members)]
-                got = open_antichain_representation(a, x)
-                assert got == minimal, (p.name, x)
-                assert up_closure(p, got) == mask
-                checked += 1
-    assert checked == 938
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +708,7 @@ def test_only_powerset_algebras_carry_automorphisms(tmp_path):
 
 def test_identity_is_homomorphism():
     a = bn(2)
-    ok, viol = is_b_homomorphism(identity_map(a))
+    ok, viol = is_b_homomorphism(AlgebraMap(a, a, np.arange(a.size, dtype=np.int32)))
     assert ok and viol is None
 
 
@@ -888,54 +785,8 @@ def test_isomorphism_search_needs_no_canonical_form(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# generated subalgebras and the negation predicate
+# the negation predicate
 # ---------------------------------------------------------------------------
-
-def test_generated_subalgebra_bn2_from_atom():
-    a = bn(2)
-    seed = [a.labels.index("{{0}}")]
-    assert generated_subalgebra(a, seed, ops=("join", "meet", "neg")) == [0, 1, 2, 3, 4]
-
-
-def test_generated_subalgebra_lattice_only():
-    a = bn(2)
-    seed = [a.labels.index("{{0}}")]
-    sub = generated_subalgebra(a, seed, ops=("join", "meet"))
-    assert sub == sorted({a.bottom, a.top, seed[0]})
-
-
-def _close_under_loop(a, start, ops, rounds):
-    """Round-by-round closure over Python sets: the reference for close_under."""
-    current = set(start)
-    for _ in range(rounds):
-        new = set(current)
-        for x in current:
-            if "neg" in ops:
-                new.add(int(a.imp[x, a.top]))
-            for y in current:
-                new.update(int(getattr(a, op)[x, y]) for op in ops if op != "neg")
-        if new == current:
-            break
-        current = new
-    return sorted(current)
-
-
-@pytest.mark.parametrize("ops", [("join", "meet", "neg", "imp"), ("join", "meet"),
-                                 ("neg",), ("imp",)])
-def test_close_under_matches_loop(ops):
-    a = bn(3)
-    for start in ([x] for x in range(a.size)):
-        for rounds in (1, 2, 8):
-            assert close_under(a, start, ops, rounds) == _close_under_loop(a, start, ops, rounds)
-    assert close_under(a, [3, 7], ops) == _close_under_loop(a, [3, 7], ops, a.size)
-
-
-def test_generated_subalgebra_errors():
-    with pytest.raises(InputError):
-        generated_subalgebra(bn(2), [])
-    with pytest.raises(InputError):
-        generated_subalgebra(bn(2), [0], ops=("xor",))
-
 
 def test_all_negations_meet_irreducible():
     ok, witness = all_negations_meet_irreducible(bn(2))

@@ -457,6 +457,20 @@ def _write_poset_files(tmp):
         }))
 
 
+def _child_env() -> dict:
+    """The environment of a child process that imports this medlat."""
+    src = str(Path(medlat.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def _assert_output_error(returncode: int, stderr: str) -> None:
+    """Exit 2 with one ``error:`` line: no traceback, and no "Exception
+    ignored" line from the interpreter's flush of standard output at exit."""
+    assert returncode == 2, stderr
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+
+
 # The child prints its peak RSS in KiB.  VmHWM starts afresh at exec, unlike
 # ru_maxrss, which a child inherits from a large parent such as this one.
 _CHILD = """
@@ -475,12 +489,9 @@ sys.exit(rc)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 def test_oversized_specs_are_refused_before_allocating(tmp_path, spec):
     _write_poset_files(tmp_path)
-    src = str(Path(medlat.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, "report", "--algebra", spec.format(tmp=tmp_path)],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert int(proc.stdout) < 200 * 1024  # peak RSS below 200 MB
@@ -525,3 +536,36 @@ _SPECS = st.one_of(
 def test_any_selector_keeps_the_exit_code_contract(spec):
     # main() must return an exit code; an escaping exception is a traceback
     assert main(["check", "p | ~p", "--algebra", spec]) in (0, 1, 2)
+
+
+# Output errors in a child process, where the interpreter flushes standard
+# output at exit.
+
+def test_a_reader_that_stops_early_gets_exit_2():
+    """``medlat enumerate --posets 7 | head -1``: the listing (about 200 kB)
+    outgrows the pipe, so the child is still writing when the pipe closes."""
+    proc = subprocess.Popen([sys.executable, "-m", "medlat.cli", "enumerate", "--posets", "7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_child_env())
+    assert proc.stdout.readline() == "2045 posets with 7 elements\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    _assert_output_error(proc.wait(timeout=60), stderr)
+
+
+def test_an_unwritable_output_file_gets_exit_2(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "medlat.cli", "export", "--algebra", "bn:2",
+                           "-o", str(tmp_path / "missing" / "x.json")],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    _assert_output_error(proc.returncode, proc.stderr)
+    assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_full_disk_gets_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "medlat.cli", "countermodel", "p",
+                               "--max-size", "7", "--json"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(), timeout=60)
+    _assert_output_error(proc.returncode, proc.stderr)

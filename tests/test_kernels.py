@@ -260,7 +260,7 @@ def _imp_block(p, rng, k=40):
     masks = open_sets(p)
     rows = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
     cols = rng.choice(len(masks), size=min(k, len(masks)), replace=False)
-    out = kernels.imp_masks(masks[rows], masks[cols], kernels.down_luts(p.down_masks))
+    out = kernels.imp_masks(masks[rows], masks[cols], kernels.imp_luts(p.down_masks))
     return rows, cols, out
 
 
@@ -292,14 +292,32 @@ def test_imp_masks_definition():
                 assert int(out[i, j]) == want
 
 
-def test_down_luts_one_table_per_byte():
-    for n, tables in ((0, 1), (1, 1), (8, 1), (9, 2), (64, 8)):
-        luts = kernels.down_luts(chain_poset(n).down_masks)
-        assert luts.shape == (tables, 256) and luts.dtype == np.uint64
+def test_imp_luts_one_table_per_16_bits():
+    """An n-element poset has max(1, ceil(n / 16)) tables, the last indexed
+    by the bits it covers alone."""
+    for n, sizes in ((0, [1]), (1, [2]), (16, [1 << 16]), (17, [1 << 16, 2]),
+                     (31, [1 << 16, 1 << 15]), (64, [1 << 16] * 4)):
+        luts = kernels.imp_luts(chain_poset(n).down_masks)
+        assert [t.shape for t in luts] == [(k,) for k in sizes], n
+        assert all(t.dtype == np.uint64 for t in luts)
     # in a chain the down-set of a set of elements is that of its largest
-    luts = kernels.down_luts(chain_poset(64).down_masks)
-    assert int(luts[7, 0b1000_0000]) == (1 << 64) - 1
-    assert int(luts[0, 0b0000_0101]) == 0b111
+    full = (1 << 64) - 1
+    luts = kernels.imp_luts(chain_poset(64).down_masks)
+    assert int(luts[3][1 << 15]) == 0
+    assert int(luts[0][0b101]) == full ^ 0b111
+    assert int(luts[2][0]) == full
+
+
+def test_permute_masks_matches_a_loop():
+    """Each image against the mask rebuilt one bit at a time; widths 0..9,
+    31 and 64 cover zero to two, four and eight bytes."""
+    rng = np.random.default_rng(13)
+    for n in [*range(10), 31, 64]:
+        perms = np.array([rng.permutation(n) for _ in range(4)]).reshape(4, n)
+        masks = rng.integers(0, 1 << n, size=30, dtype=np.uint64)
+        want = [[sum(1 << int(g[i]) for i in range(n) if int(u) >> i & 1) for u in masks]
+                for g in perms]
+        assert kernels.permute_masks(masks, perms).tolist() == want, n
 
 
 def test_no_fail_returns_minus_one():

@@ -29,10 +29,8 @@ from medlat.logic import (
     is_valid,
     kp_class_check,
     lm_member,
-    one_variable_spectrum,
     parse,
     render,
-    theory_compare,
     variables,
 )
 from medlat.poset import enumerate_posets
@@ -376,23 +374,8 @@ def test_classical_tautology():
 
 
 # ---------------------------------------------------------------------------
-# comparisons, the KP class, spectra
+# the KP class
 # ---------------------------------------------------------------------------
-
-def test_theory_compare_chain3_vs_bn2():
-    corpus = [axiom(n) for n in sorted(AXIOM_TEXT)]
-    tc = theory_compare(chain_algebra(3), bn(2), corpus)
-    assert tc.right_subset_left is True
-    assert tc.left_subset_right is False
-    assert set(tc.left_witnesses) == {render(axiom("jan")), render(axiom("lin"))}
-    assert tc.errors == ()
-
-
-def test_theory_compare_records_budget_errors():
-    tc = theory_compare(bn(3), bn(3), [axiom("kp")], budget=10)
-    assert tc.errors
-    assert "error" in tc.rows[0]
-
 
 def test_kp_class_check_small():
     rep = kp_class_check(4)
@@ -442,20 +425,6 @@ def test_kp_fails_on_a_frame_whose_negations_are_principal():
     np_ = neg(v["p"])
     kp = imp(imp(np_, v["q"] | v["r"]), imp(np_, v["q"]) | imp(np_, v["r"]))
     assert rep.valid is False and 0 not in kp
-
-
-def test_one_variable_spectrum():
-    rep = one_variable_spectrum(chain_algebra(3))
-    assert rep.sizes == (2, 3, 2)
-    assert rep.max_size == 3
-    rep = one_variable_spectrum(bn(2))
-    assert rep.sizes == (2, 5, 5, 3, 2)
-    assert rep.max_size == 5
-    assert rep.spectrum == (0, 1, 2, 3, 4)
-    assert one_variable_spectrum(bn(2), 0).max_size == 1
-    for depth in (-3, -1, 9):
-        with pytest.raises(InputError):
-            one_variable_spectrum(bn(2), depth)
 
 
 def test_validity_report_json_shape():

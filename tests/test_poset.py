@@ -362,11 +362,12 @@ def test_cold_enumeration_keys_about_one_child_per_class(monkeypatch):
 
 def test_least_in_orbit_matches_a_loop():
     """Against the least image of each mask over the rows, computed one row
-    and one bit at a time; widths 1..20 cover masks of one to three bytes."""
+    and one bit at a time; widths 1..20, 31 and 64 cover masks of one to
+    three, four and eight bytes."""
     rng = np.random.default_rng(21)
-    for m in range(1, 21):
+    for m in [*range(1, 21), 31, 64]:
         perms = np.array([rng.permutation(m) for _ in range(5)] + [np.arange(m)])
-        masks = np.unique(rng.integers(0, 1 << m, size=40)).astype(np.uint64)
+        masks = np.unique(rng.integers(0, 1 << m, size=40, dtype=np.uint64))
         want = [int(u) == min(sum(1 << int(g[i]) for i in range(m) if int(u) >> i & 1)
                               for g in perms)
                 for u in masks]
