@@ -10,7 +10,6 @@ from .poset import (
     max_antichain_size,
     open_sets,
     powerset_poset,
-    up_closure,
 )
 from .algebra import (
     AlgebraMap,
@@ -24,13 +23,11 @@ from .algebra import (
     irreducibles,
     is_b_homomorphism,
     is_isomorphic,
-    neg,
     plus_a_map,
     validate,
 )
 from .freedist import (
     FreeElement,
-    constants,
     free_algebra,
     free_element,
     free_enumerate,
@@ -42,7 +39,6 @@ from .freedist import (
     generator_negations,
     independence_check,
     iso_to_bn,
-    parse_free,
     render_free,
 )
 from .logic import (
@@ -50,7 +46,6 @@ from .logic import (
     ValidityReport,
     antichain_formula,
     axiom,
-    classical_tautology,
     countermodel_search,
     eval_formula,
     is_valid,

@@ -122,9 +122,6 @@ class BrouwerAlgebra:
         tables = (self.join, self.meet, self.imp)
         return kernels.Operations(*map(kernels.table_operation, tables), self.bottom, self.top)
 
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.leq[x, y])
-
     def check_element(self, x: int) -> int:
         x = int(x)
         if not 0 <= x < self.size:
@@ -133,11 +130,6 @@ class BrouwerAlgebra:
 
     def __repr__(self):
         return f"BrouwerAlgebra({self.provenance!r}, size={self.size})"
-
-
-def neg(a: BrouwerAlgebra, x: int) -> int:
-    """Pseudo-complement toward the top:  -x = x -> 1."""
-    return int(a.imp[a.check_element(x), a.top])
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +407,11 @@ def validate(a: BrouwerAlgebra) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def _irreducible_masks(a: BrouwerAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """(meet_irreducible, join_irreducible) masks: in a finite lattice, at
+    """(meet-irreducible, join-irreducible) masks: in a finite lattice, at
     most one upper (lower) cover, so the bounds, with none, count too."""
     one_lower, one_upper = single_covers(a.leq)
     one_upper[a.top] = one_lower[a.bottom] = True
     return one_upper, one_lower
-
-
-def join_irreducible(a: BrouwerAlgebra, x: int) -> bool:
-    """No b, c strictly below x join to x (the bottom counts as irreducible)."""
-    return bool(_irreducible_masks(a)[1][a.check_element(x)])
 
 
 def meet_irreducible(a: BrouwerAlgebra, x: int) -> bool:

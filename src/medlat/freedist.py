@@ -86,12 +86,6 @@ def generator(n: int, i: int) -> FreeElement:
     return free_element(n, [(i,)])
 
 
-def constants(n: int) -> tuple[FreeElement, FreeElement, list[FreeElement]]:
-    if not 1 <= n <= FREE_CAP:
-        raise InputError(f"n must be in 1..{FREE_CAP}")
-    return bottom(n), top(n), [generator(n, i) for i in range(n)]
-
-
 def _same_n(a: FreeElement, b: FreeElement) -> None:
     if a.n != b.n:
         raise InputError(f"mismatched generator counts: {a.n} vs {b.n}")
@@ -328,7 +322,7 @@ def generator_negations(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing
+# rendering
 # ---------------------------------------------------------------------------
 
 def render_free(e: FreeElement) -> str:
@@ -338,20 +332,3 @@ def render_free(e: FreeElement) -> str:
         return "1"
     return " + ".join("*".join(f"a{i}" for i in comp) for comp in e.family)
 
-
-def parse_free(n: int, text: str) -> FreeElement:
-    s = text.strip()
-    if s == "0":
-        return bottom(n)
-    if s == "1":
-        return top(n)
-    family = []
-    for part in s.split("+"):
-        comp = []
-        for atom in part.split("*"):
-            atom = atom.strip()
-            if not (atom.startswith("a") and atom[1:].isdigit()):
-                raise InputError(f"bad generator token {atom!r} in {text!r}")
-            comp.append(int(atom[1:]))
-        family.append(comp)
-    return free_element(n, family)

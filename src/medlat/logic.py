@@ -113,14 +113,6 @@ def variables(f: Formula) -> list[str]:
     return sorted({g.name for g in seen.values() if isinstance(g, Var)})
 
 
-def depth(f: Formula) -> int:
-    if isinstance(f, (Var, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + depth(f.sub)
-    return 1 + max(depth(f.left), depth(f.right))
-
-
 # ---------------------------------------------------------------------------
 # parser (recursive descent; ~ > & > | > ->, -> right-associative)
 # ---------------------------------------------------------------------------
@@ -170,10 +162,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def parse(text: str) -> Formula:
     """The formula of text.  Equal subformulas are one shared node, so a
-    parsed formula holds only its distinct subformulas."""
+    parsed formula holds only its distinct subformulas.  Only parentheses
+    recurse: a node deeper than ``MAX_FORMULA_DEPTH`` is refused as it is
+    built, and parentheses nested deeper as they open, so no text reaches
+    Python's recursion limit."""
     toks = _tokenize(text)
-    pos = [0]
+    pos, nesting = [0], [0]  # the next token; the parentheses open
     shared: dict = {}  # variable name, or (class, *ids of the parts) -> node
+    depths: dict[int, int] = {}  # id of a node -> its depth
 
     def node(cls, *parts) -> Formula:
         # The parts are shared already, so their identities name the node;
@@ -181,7 +177,11 @@ def parse(text: str) -> Formula:
         key = (cls, *map(id, parts))
         out = shared.get(key)
         if out is None:
+            d = 1 + max((depths[id(q)] for q in parts), default=-1)
+            if d > MAX_FORMULA_DEPTH:
+                raise InputError(f"formula depth exceeds cap {MAX_FORMULA_DEPTH}")
             out = shared[key] = cls(*parts)
+            depths[id(out)] = d
         return out
 
     def peek():
@@ -195,11 +195,14 @@ def parse(text: str) -> Formula:
         return tk
 
     def p_imp() -> Formula:
-        left = p_or()
-        if peek()[0] == "->":
+        parts = [p_or()]
+        while peek()[0] == "->":
             take("->")
-            return node(Imp, left, p_imp())
-        return left
+            parts.append(p_or())
+        out = parts.pop()
+        while parts:  # -> is right-associative
+            out = node(Imp, parts.pop(), out)
+        return out
 
     def p_or() -> Formula:
         out = p_and()
@@ -216,10 +219,14 @@ def parse(text: str) -> Formula:
         return out
 
     def p_not() -> Formula:
-        if peek()[0] == "~":
+        count = 0
+        while peek()[0] == "~":
             take("~")
-            return node(Not, p_not())
-        return p_atom()
+            count += 1
+        out = p_atom()
+        for _ in range(count):
+            out = node(Not, out)
+        return out
 
     def p_atom() -> Formula:
         kind, val, at = peek()
@@ -228,13 +235,19 @@ def parse(text: str) -> Formula:
             out = shared.get(val)
             if out is None:
                 out = shared[val] = Var(val)
+                depths[id(out)] = 0
             return out
         if kind == "const":
             take("const")
             return node(Top if val == "T" else Bot)
         if kind == "(":
+            if nesting[0] == MAX_FORMULA_DEPTH:
+                raise InputError(f"parentheses nest deeper than cap {MAX_FORMULA_DEPTH} "
+                                 f"at position {at}")
             take("(")
+            nesting[0] += 1
             out = p_imp()
+            nesting[0] -= 1
             take(")")
             return out
         raise ParseError(f"unexpected token {val!r}", at,
@@ -242,8 +255,6 @@ def parse(text: str) -> Formula:
 
     out = p_imp()
     take("end")
-    if depth(out) > MAX_FORMULA_DEPTH:
-        raise InputError(f"formula depth exceeds cap {MAX_FORMULA_DEPTH}")
     return out
 
 
@@ -519,7 +530,7 @@ def countermodel_search(f: Formula, max_size: int,
 
 
 # ---------------------------------------------------------------------------
-# derived formula families and classical calibration
+# derived formula families
 # ---------------------------------------------------------------------------
 
 def antichain_formula(k: int) -> Formula:
@@ -538,14 +549,6 @@ def antichain_formula(k: int) -> Formula:
     return out
 
 
-def classical_tautology(f: Formula, budget: int | None = None) -> bool:
-    if len(variables(f)) > 20:
-        raise InputError("classical_tautology caps at 20 variables")
-    if budget is None:
-        budget = max(evaluation_budget(), 2 ** 22 * 64)
-    return bool(is_valid(f, bn(1), budget=budget).valid)
-
-
 # ---------------------------------------------------------------------------
 # the KP class
 # ---------------------------------------------------------------------------
@@ -558,16 +561,6 @@ class KpClassReport:
     negative_kp_valid: tuple[str, ...]
     negative_kp_invalid: tuple[str, ...]
     ok: bool
-
-    def to_dict(self):
-        return {
-            "positive": list(self.positive),
-            "negative": list(self.negative),
-            "positive_kp_failures": list(self.positive_kp_failures),
-            "negative_kp_valid": list(self.negative_kp_valid),
-            "negative_kp_invalid": list(self.negative_kp_invalid),
-            "ok": self.ok,
-        }
 
 
 def kp_class_check(max_size: int, budget: int | None = None) -> KpClassReport:

@@ -54,6 +54,7 @@ def hasse_dot(leq: np.ndarray, labels, graph: str, attrs=None) -> str:
     bottom to top; attrs[i], when given, extends node i's attribute list."""
     lines = [f"digraph {graph} {{", "  rankdir=BT;"]
     for i, label in enumerate(labels):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"{attrs[i] if attrs else ""}];')
     for i, j in np.argwhere(cover_matrix(leq)):
         lines.append(f"  n{int(i)} -> n{int(j)};")
@@ -119,9 +120,6 @@ class Poset:
     def size(self) -> int:
         return self.leq.shape[0]
 
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.leq[x, y])
-
     @property
     def up_masks(self) -> np.ndarray:
         """up_masks[a] = bitmask of the principal up-set of a."""
@@ -131,12 +129,6 @@ class Poset:
     def down_masks(self) -> np.ndarray:
         """down_masks[a] = bitmask of the principal down-set of a."""
         return _row_masks(self.leq.T)
-
-    def minimal_elements(self) -> list[int]:
-        return np.flatnonzero(self.leq.sum(axis=0) == 1).tolist()  # x <= x counts
-
-    def maximal_elements(self) -> list[int]:
-        return np.flatnonzero(self.leq.sum(axis=1) == 1).tolist()
 
     def __repr__(self):
         return f"Poset({self.name!r}, size={self.size})"
@@ -166,18 +158,6 @@ def chain_poset(n: int) -> Poset:
 def antichain_poset(n: int) -> Poset:
     _check_poset_size(n)
     return Poset(np.eye(n, dtype=bool), tuple(str(i) for i in range(n)), f"antichain{n}")
-
-
-def up_closure(p: Poset, seed) -> int:
-    """Bitmask of the least up-closed superset of seed (empty seed gives 0)."""
-    up = p.up_masks
-    mask = 0
-    for i in seed:
-        i = int(i)
-        if not 0 <= i < p.size:
-            raise InputError(f"element index {i} out of range for poset of size {p.size}")
-        mask |= int(up[i])
-    return mask
 
 
 def open_sets(p: Poset) -> np.ndarray:
@@ -506,10 +486,12 @@ def _augment(root: int, above: list, mate: list, seen: list) -> bool:
 
 def poset_from_dict(d: dict) -> Poset:
     try:
-        labels = list(d["elements"])
+        labels = d["elements"]
         pairs = d["le"]
     except (KeyError, TypeError) as e:
         raise InputError(f"poset file needs 'elements' and 'le' keys: {e}")
+    if not isinstance(labels, list):
+        raise InputError(f"'elements' must be a list of labels, got {type(labels).__name__}")
     n = len(labels)
     _check_poset_size(n)
     if not isinstance(pairs, list):
@@ -535,4 +517,8 @@ def poset_to_dict(p: Poset) -> dict:
 
 def load_poset(path: str) -> Poset:
     with open(path) as f:
-        return poset_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise InputError(f"{path}: JSON nests too deeply") from None
+    return poset_from_dict(d)

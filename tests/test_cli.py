@@ -77,6 +77,27 @@ def test_check_parse_error_exits_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("text", ["~" * 2000 + "p", "(" * 400 + "p" + ")" * 400,
+                                  " & ".join(["p"] * 3000)],
+                         ids=["2000-negations", "400-parentheses", "3000-conjuncts"])
+def test_deep_formula_text_exits_2(capsys, text):
+    rc, out, err = run(capsys, "check", text, "--algebra", "bn:1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_TOKENS = st.sampled_from(["p", "q", "T", "F", "~", "&", "|", "->", "(", ")", " "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(_TOKENS, st.integers(1, 3000)), max_size=20))
+def test_any_formula_text_keeps_the_exit_code_contract(runs):
+    # Runs of one token reach deep nesting.  After "--" a text that starts
+    # with "->" is the formula, not a flag.
+    text = "".join(token * count for token, count in runs)
+    assert main(["check", "--algebra", "bn:1", "--", text]) in (0, 1, 2)
+
+
 def test_check_unknown_algebra_exits_2(capsys):
     rc, _, err = run(capsys, "check", "p", "--algebra", "zz:1")
     assert rc == 2 and "error:" in err
@@ -95,6 +116,14 @@ def test_malformed_le_entries_exit_2(capsys, tmp_path, le):
     path = tmp_path / "p.json"
     path.write_text('{"elements": ["a", "b"], "le": %s}' % le)
     rc, out, err = run(capsys, "check", "p", "--algebra", f"poset:{path}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_deeply_nested_poset_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, "report", "--algebra", f"poset:{path}")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

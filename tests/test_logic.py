@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import clause_formula
 from medlat import kernels, logic
-from medlat.algebra import bn, chain_algebra, from_poset, neg
+from medlat.algebra import bn, chain_algebra, from_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.logic import (
     AXIOM_TEXT,
@@ -21,9 +21,7 @@ from medlat.logic import (
     Var,
     antichain_formula,
     axiom,
-    classical_tautology,
     countermodel_search,
-    depth,
     eval_formula,
     evaluation_budget,
     is_valid,
@@ -82,10 +80,30 @@ def test_parse_error_positions():
         parse("")
 
 
+def _depth(f):
+    if isinstance(f, (Var, Top, Bot)):
+        return 0
+    if isinstance(f, Not):
+        return 1 + _depth(f.sub)
+    return 1 + max(_depth(f.left), _depth(f.right))
+
+
 def test_depth_cap():
-    deep = "~" * 70 + "p"
-    with pytest.raises(InputError, match="depth"):
-        parse(deep)
+    """Depth 64 parses and depth 65 is refused, whichever connective nests."""
+    for text in (lambda k: "~" * k + "p",
+                 lambda k: " & ".join(["p"] * (k + 1)),
+                 lambda k: " | ".join(["p"] * (k + 1)),
+                 lambda k: " -> ".join(["p"] * (k + 1)),
+                 lambda k: "(p & " * k + "p" + ")" * k):
+        assert _depth(parse(text(64))) == 64
+        with pytest.raises(InputError, match="depth|nest"):
+            parse(text(65))
+
+
+def test_parentheses_nest_at_most_the_depth_cap():
+    assert parse("(" * 64 + "p" + ")" * 64) == Var("p")
+    with pytest.raises(InputError, match="parentheses nest deeper than cap 64 at position 64"):
+        parse("(" * 65 + "p" + ")" * 65)
 
 
 def test_variables_sorted():
@@ -135,7 +153,6 @@ def _depth_30_formula():
 @given(_formula)
 @example(_depth_30_formula())
 def test_render_parse_round_trip(f):
-    assert depth(f) <= 30
     assert parse(render(f)) == f
 
 
@@ -155,7 +172,7 @@ def test_eval_formula_matches_tables():
     for p in range(a.size):
         for q in range(a.size):
             for r in range(a.size):
-                want = int(a.imp[a.join[p, q], a.meet[neg(a, p), r]])
+                want = int(a.imp[a.join[p, q], a.meet[a.imp[p, a.top], r]])
                 assert eval_formula(f, a, {"p": p, "q": q, "r": r}) == want
 
 
@@ -364,15 +381,6 @@ def test_antichain_formula_shape():
         antichain_formula(7)
 
 
-def test_classical_tautology():
-    assert classical_tautology(parse("((p -> q) -> p) -> p"))
-    assert classical_tautology(parse("p | ~p"))
-    assert not classical_tautology(parse("p"))
-    # the displayed one-variable axiom variant is not even classically valid
-    assert not classical_tautology(axiom("sc_paper"))
-    assert classical_tautology(axiom("sc_standard"))
-
-
 # ---------------------------------------------------------------------------
 # the KP class
 # ---------------------------------------------------------------------------
@@ -415,14 +423,14 @@ def test_kp_fails_on_a_frame_whose_negations_are_principal():
     def imp(u, v):
         return frozenset(x for x in world if not (up[x] & u) - v)
 
-    def neg(u):
+    def negation(u):
         return imp(u, frozenset())
 
     sets = [frozenset(i for i in world if m >> i & 1) for m in a.open_masks.tolist()]
-    assert all(not neg(u) or neg(u) in up for u in sets)
+    assert all(not negation(u) or negation(u) in up for u in sets)
     rep = is_valid(axiom("kp"), a)
     v = {name: sets[x] for name, x in rep.countermodel.items()}
-    np_ = neg(v["p"])
+    np_ = negation(v["p"])
     kp = imp(imp(np_, v["q"] | v["r"]), imp(np_, v["q"]) | imp(np_, v["r"]))
     assert rep.valid is False and 0 not in kp
 

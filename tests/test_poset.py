@@ -29,6 +29,7 @@ from medlat.poset import (
     check_partial_order,
     cover_matrix,
     enumerate_posets,
+    hasse_dot,
     load_poset,
     make_poset,
     max_antichain_size,
@@ -39,7 +40,6 @@ from medlat.poset import (
     poset_to_dict,
     powerset_poset,
     single_covers,
-    up_closure,
 )
 
 
@@ -80,13 +80,6 @@ def test_make_poset_label_count():
         make_poset(np.eye(2, dtype=bool), labels=("a",))
 
 
-def test_extremes(fork):
-    assert fork.minimal_elements() == [0]
-    assert sorted(fork.maximal_elements()) == [1, 2]
-    assert chain_poset(4).minimal_elements() == [0]
-    assert antichain_poset(3).minimal_elements() == [0, 1, 2]
-
-
 def _assert_single_covers(leq):
     one_lower, one_upper = single_covers(leq)
     cov = cover_matrix(leq)
@@ -124,42 +117,6 @@ def test_single_covers_long_chain():
 def test_up_masks(fork):
     # bit i of up_masks[a] set iff a <= i
     assert list(fork.up_masks) == [0b111, 0b010, 0b100]
-
-
-# ---------------------------------------------------------------------------
-# up-closure
-# ---------------------------------------------------------------------------
-
-def _up_closure_oracle(p, seed):
-    members = set()
-    for i in seed:
-        for j in range(p.size):
-            if p.leq[i, j]:
-                members.add(j)
-    return sum(1 << j for j in members)
-
-
-def _members(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def test_up_closure_examples(fork):
-    assert up_closure(fork, [0]) == 0b111
-    assert up_closure(fork, [1]) == 0b010
-    assert up_closure(fork, []) == 0
-    with pytest.raises(InputError):
-        up_closure(fork, [9])
-
-
-def test_up_closure_random():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        p = random_poset(rng, int(rng.integers(1, 8)))
-        seed = [i for i in range(p.size) if rng.random() < 0.4]
-        u = up_closure(p, seed)
-        assert u == _up_closure_oracle(p, seed)
-        # idempotence
-        assert up_closure(p, _members(u)) == u
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +193,8 @@ def test_powerset_poset_shape():
     assert p.size == 3
     assert p.labels == ("{0}", "{1}", "{0,1}")
     # reverse inclusion: the full set is the minimum
-    assert p.minimal_elements() == [2]
-    assert sorted(p.maximal_elements()) == [0, 1]
+    assert p.leq[2].all()
+    assert p.leq.sum(axis=1).tolist() == [1, 1, 3]  # nothing lies above a singleton
 
 
 def test_powerset_poset_is_reverse_inclusion():
@@ -245,7 +202,7 @@ def test_powerset_poset_is_reverse_inclusion():
     for i in range(p.size):
         for j in range(p.size):
             s, t = i + 1, j + 1
-            assert p.le(i, j) == ((s | t) == s)
+            assert p.leq[i, j] == ((s | t) == s)
 
 
 def test_powerset_poset_caps():
@@ -592,3 +549,15 @@ def test_poset_from_dict_errors():
                [[0]], [None], 5, "01", {"0": 1}):
         with pytest.raises(InputError):
             poset_from_dict({"elements": ["a", "b"], "le": le})
+
+
+def test_poset_from_dict_needs_a_list_of_elements():
+    # a string or an object is not read as its characters or keys
+    for elements in ("abc", {"a": 0, "b": 1}):
+        with pytest.raises(InputError, match="'elements' must be a list"):
+            poset_from_dict({"elements": elements, "le": []})
+
+
+def test_hasse_dot_escapes_labels():
+    dot = hasse_dot(np.ones((1, 1), dtype=bool), ['a\\b"c'], "g")
+    assert '  n0 [label="a\\\\b\\"c"];' in dot.splitlines()
