@@ -5,10 +5,10 @@ co-implication  a -> b = min{c : a + c >= b}  (order-dual of a Heyting
 algebra); the *least* element is the designated truth value.  Its four
 tables (order, join, meet, implication) are m x m numpy arrays.  An algebra
 built from a poset (``from_poset``, and so ``bn`` and ``chain_algebra``)
-holds the poset and its up-set masks instead, and builds the four tables
-only when one of them is first read: valuation scans and ``eval_formula``
-compute on the masks (``BrouwerAlgebra.operations``), and only structural
-questions (irreducibles, widths, intervals, factors, export) read tables.
+holds the poset and its up-set masks instead, and builds each table only
+when it is first read: scans, ``eval_formula`` and negations compute on the
+masks (``BrouwerAlgebra.operations``), order questions (irreducibles, widths,
+DOT export) read ``leq`` alone, and intervals, factors and JSON the others.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ _TABLES = ("leq", "join", "meet", "imp")
 
 @dataclass(frozen=True, eq=False)
 class BrouwerAlgebra:
-    # The four tables; all None for a poset-backed algebra, which builds them
-    # from its poset and masks when one is first read (see __getattr__).
+    # The four tables; all None for a poset-backed algebra, which builds each
+    # from its poset and masks when it is first read (see __getattr__).
     leq: np.ndarray | None   # bool (m, m)
     join: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice +
     meet: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice x
@@ -99,15 +99,15 @@ class BrouwerAlgebra:
 
     def __getattr__(self, name):
         """Reached only for an attribute the instance lacks: a table of a
-        poset-backed algebra not read before.  All four are built then, by
-        ``_up_set_tables`` in the element numbering of the masks, and kept."""
+        poset-backed algebra not read before.  That table alone is built
+        then, by ``_up_set_table`` in the masks' numbering, and kept."""
         masks = self.__dict__.get("open_masks")
         if name not in _TABLES or masks is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        for t_name, t in zip(_TABLES, _up_set_tables(self.poset, masks, self.automorphisms)):
-            t.setflags(write=False)
-            object.__setattr__(self, t_name, t)
-        return self.__dict__[name]
+        t = _up_set_table(name, self.poset, masks, self.automorphisms)
+        t.setflags(write=False)
+        object.__setattr__(self, name, t)
+        return t
 
     @property
     def size(self) -> int:
@@ -202,30 +202,25 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     return _index_of_masks(_position_tables(masks, n), kernels.permute_masks(masks, sigma))
 
 
-def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):
-    """leq, join, meet and imp of the algebra of all up-sets of p, element i
-    being masks[i], in any order: join = intersection, meet = union, and
-    U -> V = {a : [a) & U <= V}, filled a band of about ``_TABLE_BLOCK``
-    entries at a time.  A result mask is turned back into its element by
-    the byte-radix tables of ``_position_tables``.
+def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):
+    """The table name (leq, join, meet or imp) of the algebra of all up-sets
+    of p, element i being masks[i], in any order: join = intersection,
+    meet = union, and U -> V = {a : [a) & U <= V}, computed a band of about
+    ``_TABLE_BLOCK`` entries at a time.  A result mask is turned back into
+    its element by the byte-radix tables of ``_position_tables``.
 
     automorphisms, when given, are element permutations g of the algebra
     (rows of ``_lift_automorphisms``; they need not form a group).  Row x
     is then filled from a row r with g(r) = x that is computed directly:
     leq[x, g(v)] = leq[r, v] and T[x, g(v)] = g(T[r, v]) for join, meet and
     imp.  r is the least preimage of x under the rows, taken only when r is
-    its own least preimage; every other row is computed directly.  For a
-    group that is one row per orbit, its least element.  Without
-    automorphisms every row is computed, and join, meet and leq below the
-    diagonal are mirrored from above it."""
+    its own least preimage; every other row is computed directly: for a
+    group, one row per orbit, its least element, and with none, every row."""
     m = len(masks)
-    tables = _position_tables(masks, p.size)
-    luts = kernels.imp_luts(p.down_masks)
-    leq = np.empty((m, m), dtype=bool)
-    join = np.empty((m, m), dtype=ELEMENT_DTYPE)
-    meet = np.empty((m, m), dtype=ELEMENT_DTYPE)
-    imp = np.empty((m, m), dtype=ELEMENT_DTYPE)
-    direct = None  # the rows computed directly, when not all of them
+    tables = None if name == "leq" else _position_tables(masks, p.size)
+    luts = kernels.imp_luts(p.down_masks) if name == "imp" else None
+    table = np.empty((m, m), dtype=bool if name == "leq" else ELEMENT_DTYPE)
+    direct, fills = np.arange(m), ()  # the rows computed, and the (g, g^-1) that fill
     if automorphisms is not None:
         ar = np.arange(m, dtype=np.int32)
         inverse = np.empty_like(automorphisms)
@@ -233,40 +228,28 @@ def _up_set_tables(p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None
         via = inverse.argmin(axis=0)  # the row g giving x its least preimage
         source = np.minimum(inverse[via, ar], ar)
         filled = (source < ar) & (source[source] == source)
-        if filled.any():
-            direct = np.flatnonzero(~filled)
-    mirror = direct is None
-    count = m if mirror else len(direct)
+        direct = np.flatnonzero(~filled)
+        fills = zip(automorphisms, inverse)
     rows = max(1, _TABLE_BLOCK // m)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        band = slice(lo, hi) if mirror else direct[lo:hi]
-        # Without automorphisms, leq, join and meet are known left of column
-        # lo from the strips mirrored by earlier bands: fill the rest of the
-        # band, and mirror its part right of the band into the strip below it.
-        start = lo if mirror else 0
-        u, rest = masks[band, None], masks[None, start:]
-        inter = u & rest
-        leq[band, start:] = inter == rest  # U >= V as sets
-        join[band, start:] = _index_of_masks(tables, inter)
-        meet[band, start:] = _index_of_masks(tables, u | rest)
-        imp[band] = _index_of_masks(tables, kernels.imp_masks(masks[band], masks, luts))
-        if mirror:
-            leq[hi:, lo:hi] = (inter[:, hi - lo:] == u).T
-            join[hi:, lo:hi] = join[lo:hi, hi:].T
-            meet[hi:, lo:hi] = meet[lo:hi, hi:].T
-    if not mirror:
-        # Each g fills the rows it reaches from their sources, a band at a
-        # time: one take along the rows by g^-1 and one take of g on the values.
-        for k, (g, inv) in enumerate(zip(automorphisms, inverse)):
-            targets = np.flatnonzero(filled & (via == k))
-            for lo in range(0, len(targets), rows):
-                x = targets[lo:lo + rows]
-                r = source[x]
-                leq[x] = leq[r].take(inv, axis=1)
-                for t in (join, meet, imp):
-                    t[x] = g.take(t[r].take(inv, axis=1), mode="clip")  # every entry is an element
-    return leq, join, meet, imp
+    for lo in range(0, len(direct), rows):
+        band = direct[lo:lo + rows]
+        u = masks[band, None]
+        if name == "leq":
+            table[band] = (u & masks) == masks  # U >= V as sets
+        else:
+            out = (kernels.imp_masks(masks[band], masks, luts) if name == "imp"
+                   else u & masks if name == "join" else u | masks)
+            table[band] = _index_of_masks(tables, out)
+    # Each g fills the rows it reaches from their sources, a band at a time:
+    # one take along the rows by g^-1, and for join, meet and imp one take of
+    # g on the values.
+    for k, (g, inv) in enumerate(fills):
+        targets = np.flatnonzero(filled & (via == k))
+        for lo in range(0, len(targets), rows):
+            x = targets[lo:lo + rows]
+            t = table[source[x]].take(inv, axis=1)
+            table[x] = t if name == "leq" else g.take(t, mode="clip")  # every entry is an element
+    return table
 
 
 def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
@@ -274,7 +257,7 @@ def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
     and numbered by ascending mask: bottom = whole carrier, top = empty set;
     its provenance is ``B(name of p)`` unless given.
     It holds p, its masks and, when p carries them, p's automorphisms lifted
-    to element permutations; the tables are built when first read, and the
+    to element permutations; each table is built when first read, and the
     table builder then computes one row per orbit and fills the others by
     permutation."""
     masks = open_sets(p)
@@ -497,8 +480,8 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     if not (all((((ups[r, None] | ups) == ups[r, None]) == leq_q[r]).all() for r in bands)
             and np.array_equal(np.sort(ups), open_sets(j_poset))):
         raise InputError("quotient order has no unique bound (not a distributive lattice)")
-    # The tables' order is leq_q again; rebinding frees the first copy.
-    leq_q, join_q, meet_q, imp_q = _up_set_tables(j_poset, ups)
+    # The order of the up-sets ups is leq_q, as checked above.
+    join_q, meet_q, imp_q = (_up_set_table(t, j_poset, ups) for t in ("join", "meet", "imp"))
     bottom_q = int(class_of[a.bottom])
     top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
@@ -624,7 +607,9 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
 def all_negations_meet_irreducible(a: BrouwerAlgebra) -> tuple[bool, int | None]:
     """True iff -x is meet-irreducible for every element x; else the least
     witness x."""
-    bad = np.flatnonzero(~_irreducible_masks(a)[0][a.imp[:, a.top]])
+    ops = a.operations  # on the masks of a poset-backed algebra: no imp table
+    negations = ops.element(ops.imp(ops.value(np.arange(a.size)), ops.top))
+    bad = np.flatnonzero(~_irreducible_masks(a)[0][negations])
     return (False, int(bad[0])) if bad.size else (True, None)
 
 

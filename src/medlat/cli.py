@@ -52,6 +52,20 @@ def resolve_algebra(spec: str) -> alg.BrouwerAlgebra:
         raise InputError(f"bad algebra spec {spec!r}: {e}") from e
 
 
+def _split_elements(rest: str, count: int) -> list[str]:
+    """The inner spec and the count element tokens of rest, cut at its last
+    count commas outside braces and brackets: labels such as {{0},{1}} and
+    [{}] hold commas, and the inner spec keeps any text."""
+    cuts, depth = [len(rest)], 0
+    for i in range(len(rest) - 1, -1, -1):
+        depth = max(0, depth + (rest[i] in "}]") - (rest[i] in "{["))
+        if rest[i] == "," and not depth and len(cuts) <= count:
+            cuts.insert(0, i)
+    if len(cuts) <= count:
+        raise ValueError(f"expected {count} element(s) after the inner spec")
+    return [rest[:cuts[0]]] + [rest[i + 1:j] for i, j in zip(cuts, cuts[1:])]
+
+
 def _resolve(spec: str) -> alg.BrouwerAlgebra:
     spec = spec.strip()
     if ":" not in spec:
@@ -66,12 +80,12 @@ def _resolve(spec: str) -> alg.BrouwerAlgebra:
     if kind == "poset":
         return alg.from_poset(ps.load_poset(rest))
     if kind == "interval":
-        inner, a_tok, b_tok = rest.rsplit(",", 2)
+        inner, a_tok, b_tok = _split_elements(rest, 2)
         base = _resolve(inner)
         return alg.interval(base, resolve_element(base, a_tok),
                             resolve_element(base, b_tok))
     if kind == "factor":
-        inner, a_tok = rest.rsplit(",", 1)
+        inner, a_tok = _split_elements(rest, 1)
         base = _resolve(inner)
         return alg.factor_by_principal_filter(base, resolve_element(base, a_tok)).algebra
     raise InputError(f"unknown algebra kind {kind!r} in spec {spec!r}")

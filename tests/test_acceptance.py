@@ -29,7 +29,6 @@ from medlat.algebra import (
 )
 from medlat.freedist import free_enumerate, generator_negations, independence_check, iso_to_bn
 from medlat.logic import (
-    AXIOM_TEXT,
     And,
     Bot,
     Not,

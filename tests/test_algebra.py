@@ -33,7 +33,6 @@ from medlat.freedist import free_algebra
 from medlat.poset import (
     Poset,
     antichain_poset,
-    chain_poset,
     cover_matrix,
     enumerate_posets,
     load_poset,
@@ -543,7 +542,7 @@ def test_factor_of_an_order_that_is_no_distributive_lattice_is_refused(monkeypat
     two non-distributive five-element lattices have too few elements for
     that, and the cut cube has the elements but not the order.  Each is
     refused before any table."""
-    monkeypatch.setattr("medlat.algebra._up_set_tables", _no_tables)
+    monkeypatch.setattr("medlat.algebra._up_set_table", _no_tables)
     with pytest.raises(InputError, match="no unique bound"):
         factor_by_principal_filter(_order_by_its_top(leq), len(leq) - 1)
 
@@ -558,7 +557,7 @@ def test_factor_with_too_many_join_irreducibles_is_refused(monkeypatch):
     a = from_tables(leq, np.maximum.outer(ar, ar), np.minimum.outer(ar, ar), imp,
                     bottom=0, top=65)
     assert validate(a) == []
-    monkeypatch.setattr("medlat.algebra._up_set_tables", _no_tables)
+    monkeypatch.setattr("medlat.algebra._up_set_table", _no_tables)
     with pytest.raises(ResourceLimitError, match="65 join-irreducibles"):
         factor_by_principal_filter(a, a.top)
 
@@ -629,11 +628,14 @@ def _with_automorphisms(p, auts):
 
 def _same_tables(p, auts):
     """from_poset of p with the automorphism rows auts equals from_poset of
-    p without any: same tables, masks and labels."""
-    a, b = from_poset(_with_automorphisms(p, auts)), from_poset(_with_automorphisms(p, None))
-    for name in ("leq", "join", "meet", "imp", "open_masks"):
+    p without any: same tables, masks and labels.  Each table is read alone
+    on a fresh pair of algebras, so that it is built by itself."""
+    for name in algebra._TABLES:
+        a, b = (from_poset(_with_automorphisms(p, x)) for x in (auts, None))
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert set(algebra._TABLES) & vars(a).keys() == {name}
+    assert np.array_equal(a.open_masks, b.open_masks)
     assert (a.labels, a.bottom, a.top) == (b.labels, b.bottom, b.top)
     return a
 
@@ -642,7 +644,7 @@ def _same_tables(p, auts):
                                   "antichain4-S4", "fork-swap"])
 def test_orbit_filled_tables_equal_the_direct_build(case, fork):
     """Rows filled by permutation from one row per orbit give the tables that
-    computing every row gives."""
+    computing every row gives, each table built alone."""
     if case.startswith("powerset"):
         p = powerset_poset(int(case[-1]))
         auts = p.automorphisms
@@ -687,7 +689,7 @@ def test_bn_computes_one_implication_row_per_orbit(monkeypatch):
         assert len(rows) == orbits
         assert rows == [x for x in range(a.size) if a.automorphisms[:, x].min() == x]
         rows.clear()
-        from_poset(_with_automorphisms(p, None)).leq
+        from_poset(_with_automorphisms(p, None)).imp
         assert len(rows) == size
 
 

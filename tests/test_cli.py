@@ -36,6 +36,22 @@ def test_resolve_algebra_specs():
     assert resolve_algebra("factor:bn:2,1").size == 3
 
 
+@pytest.mark.parametrize("by_label, by_index", [
+    ("factor:bn:2,{{0},{1}}", "factor:bn:2,3"),
+    ("interval:bn:2,{{0},{1}},{}", "interval:bn:2,3,0"),
+    ("factor:factor:bn:3,5,[{{0},{1},{0,1}}]", "factor:factor:bn:3,5,4"),
+    ("interval:factor:bn:3,5, [{{0},{1}}],[{}] ", "interval:factor:bn:3,5,3,0"),
+])
+def test_element_labels_with_commas_name_their_element(capsys, by_label, by_index):
+    """Element tokens are split off the right end of a spec at commas
+    outside braces and brackets, so a bn label of two sets and a factor
+    label [...] name their element as its index does."""
+    assert run(capsys, "report", "--algebra", by_label, "--json") == \
+        run(capsys, "report", "--algebra", by_index, "--json")
+    rc, out, err = run(capsys, "report", "--algebra", by_index, "--json")
+    assert rc == 0 and err == "" and out
+
+
 def test_resolve_algebra_poset_file(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({

@@ -8,7 +8,6 @@ from medlat.algebra import is_b_homomorphism, validate
 from medlat import freedist
 from medlat.errors import InputError, MedlatError, ResourceLimitError
 from medlat.freedist import (
-    FreeElement,
     bottom,
     free_algebra,
     free_element,

@@ -1,12 +1,13 @@
 """The up-set mask path of poset-backed algebras against the table path.
 
 A poset-backed algebra (``from_poset``, ``bn``, ``chain_algebra``) scans
-and evaluates on its up-set masks, and builds its four tables only when one
-of them is read.  A table copy of it has no poset, so it computes on the
-tables: the two must give the same answers, and the scans must leave the
-poset-backed algebra's tables unbuilt.
+and evaluates on its up-set masks, and builds each of its four tables only
+when that table is read.  A table copy of it has no poset, so it computes
+on the tables: the two must give the same answers, and the scans must
+leave the poset-backed algebra's tables unbuilt.
 """
 
+import json
 import random
 
 import numpy as np
@@ -14,7 +15,17 @@ import pytest
 
 from conftest import random_formula
 from medlat import algebra, kernels
-from medlat.algebra import BrouwerAlgebra, bn, chain_algebra, from_poset, from_tables
+from medlat.algebra import (
+    BrouwerAlgebra,
+    algebra_to_dot,
+    all_negations_meet_irreducible,
+    bn,
+    chain_algebra,
+    from_poset,
+    from_tables,
+    irreducibles,
+)
+from medlat.cli import main
 from medlat.logic import (
     axiom,
     countermodel_search,
@@ -23,7 +34,14 @@ from medlat.logic import (
     parse,
     variables,
 )
-from medlat.poset import antichain_poset, chain_poset, enumerate_posets, open_sets, powerset_poset
+from medlat.poset import (
+    antichain_poset,
+    chain_poset,
+    enumerate_posets,
+    load_poset,
+    open_sets,
+    powerset_poset,
+)
 
 TABLES = ("leq", "join", "meet", "imp")
 NAMES = ("p", "q", "r")
@@ -140,11 +158,54 @@ def test_countermodel_search_builds_no_tables():
     assert unbuilt(res.algebra)
 
 
-def test_tables_are_built_once_and_read_only():
+def test_tables_are_built_once_and_read_only(monkeypatch):
+    """Reading a table of a poset-backed algebra builds that table alone,
+    once, and keeps it read-only."""
+    real, built = algebra._up_set_table, []
+
+    def counting(name, *args):
+        built.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr("medlat.algebra._up_set_table", counting)
     a = from_poset(chain_poset(3))
-    leq = a.leq
-    assert set(TABLES) <= vars(a).keys() and a.leq is leq
-    assert not any(getattr(a, t).flags.writeable for t in TABLES)
+    for i, name in enumerate(TABLES):
+        t = getattr(a, name)
+        assert getattr(a, name) is t and not t.flags.writeable
+        assert built == list(TABLES[:i + 1])
+        assert set(TABLES) & vars(a).keys() == set(TABLES[:i + 1])
+
+
+def test_order_questions_build_leq_alone(tmp_path, monkeypatch, capsys):
+    """irreducibles, the KP class predicate, the DOT export and report read
+    the order of a fresh poset-backed algebra and compute its negations on
+    the masks: join, meet and imp stay unbuilt."""
+    path = tmp_path / "vee.json"
+    path.write_text(json.dumps({"name": "vee", "elements": ["r", "a", "b"],
+                                "le": [[0, 1], [0, 2]]}))
+    for p in (powerset_poset(3), load_poset(str(path))):
+        a = from_poset(p)
+        irreducibles(a)
+        all_negations_meet_irreducible(a)
+        algebra_to_dot(a)
+        assert set(TABLES) & vars(a).keys() == {"leq"}, p.name
+    built = []
+
+    def recording(p):
+        built.append(from_poset(p))
+        return built[-1]
+
+    monkeypatch.setattr("medlat.algebra.from_poset", recording)
+    assert main(["report", "--algebra", f"poset:{path}", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["structure"]["size"] == 5
+    assert len(built) == 1 and set(TABLES) & vars(built[0]).keys() == {"leq"}
+
+
+def test_negations_on_masks_match_the_tables():
+    """The KP class predicate computes the negations on the masks of a
+    poset-backed algebra and on the imp table of its table copy."""
+    for a in small_poset_algebras():
+        assert all_negations_meet_irreducible(a) == all_negations_meet_irreducible(table_copy(a))
 
 
 def test_an_algebra_takes_all_four_tables_or_its_masks():
