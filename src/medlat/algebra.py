@@ -5,16 +5,19 @@ co-implication  a -> b = min{c : a + c >= b}  (order-dual of a Heyting
 algebra); the *least* element is the designated truth value.  Its four
 tables (order, join, meet, implication) are m x m numpy arrays.  An algebra
 built from a poset (``from_poset``, and so ``bn`` and ``chain_algebra``)
-holds the poset and its up-set masks instead, and builds each table only
-when it is first read: scans, ``eval_formula`` and negations compute on the
-masks (``BrouwerAlgebra.operations``), order questions (irreducibles, widths,
-DOT export) read ``leq`` alone, and intervals, factors and JSON the others.
+holds the poset and its up-set masks instead, and builds each table, its
+element labels and its lifted automorphisms only when first read: scans,
+``eval_formula`` and negations compute on the masks
+(``BrouwerAlgebra.operations``), order questions (irreducibles, widths, DOT
+export) read ``leq`` alone, and intervals, factors and JSON the others.
+Labels are read by what prints or names an element; the automorphisms by
+the table builder and by scans with a leading variable (see ``kernels``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -43,30 +46,36 @@ BN_CAP = 5
 
 
 _TABLES = ("leq", "join", "meet", "imp")
+_DERIVED = _TABLES + ("labels", "automorphisms")  # built on first read when poset-backed
 
 
 @dataclass(frozen=True, eq=False)
 class BrouwerAlgebra:
     # The four tables; all None for a poset-backed algebra, which builds each
-    # from its poset and masks when it is first read (see __getattr__).
+    # from its poset and masks when it is first read (see __getattr__), and
+    # so its labels and automorphisms when they are left None too.
     leq: np.ndarray | None   # bool (m, m)
     join: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice +
     meet: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice x
     imp: np.ndarray | None   # ELEMENT_DTYPE (m, m)
     bottom: int
     top: int
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None
     provenance: str
     poset: Poset | None = None
     open_masks: np.ndarray | None = None  # uint64 per element, ascending, when poset-backed
-    automorphisms: np.ndarray | None = None  # ELEMENT_DTYPE (g, m) element permutations
+    # ELEMENT_DTYPE (g, m) element permutations.  A factory, unlike a default,
+    # leaves no class attribute, which a dropped field would read as None
+    # instead of reaching __getattr__.
+    automorphisms: np.ndarray | None = field(default_factory=lambda: None)
 
     def __post_init__(self):
         """Takes the element arrays in any integer dtype and stores them in
         ELEMENT_DTYPE, after refusing more than MAX_ALGEBRA_SIZE elements and
         every entry outside [0, m): narrowing first would wrap -1 or
         2**16 + x onto a valid-looking element.  Tables left out (all four
-        None) are dropped from the instance, to be built when first read."""
+        None) are dropped from the instance, to be built when first read, and
+        so are the labels and automorphisms of such an algebra when None."""
         given = [getattr(self, t) is not None for t in _TABLES]
         if any(given) and not all(given):
             raise InputError("an algebra takes all four tables or none of them")
@@ -74,16 +83,17 @@ class BrouwerAlgebra:
         if lazy:
             if self.poset is None or self.open_masks is None:
                 raise InputError("an algebra without tables needs its poset and up-set masks")
-            for t in _TABLES:
-                object.__delattr__(self, t)
+            for t in _DERIVED:
+                if getattr(self, t) is None:
+                    object.__delattr__(self, t)
         m = self.size
         if m > MAX_ALGEBRA_SIZE:
             raise ResourceLimitError(f"{self.provenance} has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
         if not lazy:
             self.leq.setflags(write=False)
         for name in ("automorphisms",) if lazy else ("join", "meet", "imp", "automorphisms"):
-            t = getattr(self, name)
-            if t is None:  # automorphisms are optional
+            t = self.__dict__.get(name)
+            if t is None:  # automorphisms are optional, or built when first read
                 continue
             if t.ndim != 2 or t.shape[1] != m or (t.shape[0] != m and name != "automorphisms"):
                 raise InputError(f"{name} table shape {t.shape} does not match size {m}")
@@ -98,16 +108,27 @@ class BrouwerAlgebra:
             t.setflags(write=False)
 
     def __getattr__(self, name):
-        """Reached only for an attribute the instance lacks: a table of a
-        poset-backed algebra not read before.  That table alone is built
-        then, by ``_up_set_table`` in the masks' numbering, and kept."""
+        """Reached only for an attribute the instance lacks: a table, the
+        labels or the automorphisms of a poset-backed algebra not read
+        before.  That one alone is built then, in the masks' numbering, and
+        kept: a table by ``_up_set_table`` (which reads the automorphisms),
+        the automorphisms by ``_lift_automorphisms`` (None when the poset
+        has none), the labels as the sets of poset labels."""
         masks = self.__dict__.get("open_masks")
-        if name not in _TABLES or masks is None:
+        if name not in _DERIVED or masks is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        t = _up_set_table(name, self.poset, masks, self.automorphisms)
-        t.setflags(write=False)
-        object.__setattr__(self, name, t)
-        return t
+        p = self.poset
+        if name == "labels":
+            value = tuple("{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
+                          for u in masks.tolist())
+        elif name == "automorphisms":
+            value = None if p.automorphisms is None else _lift_automorphisms(p, masks)
+        else:
+            value = _up_set_table(name, p, masks, self.automorphisms)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def size(self) -> int:
@@ -187,9 +208,9 @@ def _index_of_masks(tables: list[np.ndarray], wanted: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
-    """The element permutations U |-> sigma(U) of B(p), one row per
-    automorphism sigma of p."""
+def _check_automorphisms(p: Poset) -> None:
+    """Refuses automorphisms of p that are not rows of element indices of
+    p, or that do not preserve its order."""
     sigma = np.asarray(p.automorphisms)
     n = p.size
     if (sigma.ndim != 2 or sigma.shape[1] != n or not np.issubdtype(sigma.dtype, np.integer)
@@ -199,7 +220,14 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     if bad.any():
         raise InputError(f"row {int(np.flatnonzero(bad)[0])} of the automorphisms "
                          f"of {p.name!r} does not preserve the order")
-    return _index_of_masks(_position_tables(masks, n), kernels.permute_masks(masks, sigma))
+
+
+def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
+    """The element permutations U |-> sigma(U) of B(p), one ELEMENT_DTYPE row
+    per automorphism sigma of p (checked by ``_check_automorphisms``)."""
+    lifted = _index_of_masks(_position_tables(masks, p.size),
+                             kernels.permute_masks(masks, np.asarray(p.automorphisms)))
+    return lifted.astype(ELEMENT_DTYPE)
 
 
 def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):
@@ -210,7 +238,8 @@ def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndar
     its element by the byte-radix tables of ``_position_tables``.
 
     automorphisms, when given, are element permutations g of the algebra
-    (rows of ``_lift_automorphisms``; they need not form a group).  Row x
+    (rows of ``_lift_automorphisms``, which a poset-backed algebra lifts on
+    the first read of a table; they need not form a group).  Row x
     is then filled from a row r with g(r) = x that is computed directly:
     leq[x, g(v)] = leq[r, v] and T[x, g(v)] = g(T[r, v]) for join, meet and
     imp.  r is the least preimage of x under the rows, taken only when r is
@@ -256,24 +285,22 @@ def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
     and numbered by ascending mask: bottom = whole carrier, top = empty set;
     its provenance is ``B(name of p)`` unless given.
-    It holds p, its masks and, when p carries them, p's automorphisms lifted
-    to element permutations; each table is built when first read, and the
-    table builder then computes one row per orbit and fills the others by
-    permutation."""
+    It holds p and its masks alone.  p's automorphisms, when it carries
+    them, are checked here; each table, the element labels and the
+    automorphisms lifted to element permutations are built when first read
+    (see ``BrouwerAlgebra.__getattr__``), and the table builder then
+    computes one row per orbit and fills the others by permutation."""
     masks = open_sets(p)
     m = len(masks)
     if m > MAX_ALGEBRA_SIZE:
         raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-    auts = None if p.automorphisms is None else _lift_automorphisms(p, masks)
-    labels = tuple(
-        "{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
-        for u in masks.tolist()
-    )
+    if p.automorphisms is not None:
+        _check_automorphisms(p)
     return BrouwerAlgebra(
         leq=None, join=None, meet=None, imp=None,
         bottom=m - 1, top=0,
-        labels=labels, provenance=provenance or f"B({p.name})",
-        poset=p, open_masks=masks, automorphisms=auts,
+        labels=None, provenance=provenance or f"B({p.name})",
+        poset=p, open_masks=masks,
     )
 
 

@@ -430,8 +430,11 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
             return ValidityReport(f, a, None, None, None, count, "sampling")
         return _refuted(f, a, var_order, best, count, "sampling")
 
+    # Only a scan with a leading variable (more than _BLOCK valuations) skips
+    # blocks by the automorphisms, so only such a scan reads (and lifts) them.
+    auts = a.automorphisms if total > kernels._BLOCK else None
     first = kernels.first_fail(nodes, k, m, ops.join, ops.meet, ops.imp, ops.bottom, ops.top,
-                               0, total, a.automorphisms, ops.values)
+                               0, total, auts, ops.values)
     if first < 0:
         return ValidityReport(f, a, True, None, None, total, "exhaustive")
     return _refuted(f, a, var_order, first, first + 1, "exhaustive")

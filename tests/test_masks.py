@@ -201,6 +201,48 @@ def test_order_questions_build_leq_alone(tmp_path, monkeypatch, capsys):
     assert len(built) == 1 and set(TABLES) & vars(built[0]).keys() == {"leq"}
 
 
+def test_labels_and_automorphisms_are_built_on_first_read(tmp_path, capsys):
+    """Scans without a leading variable and eval_formula read neither the
+    labels nor the automorphisms of a fresh poset-backed algebra.  A
+    3-variable scan on B(2^4-{}) has one leading variable (167**2 <= _BLOCK
+    valuations per block), so it lifts the automorphisms to skip blocks, and
+    so does the first read of leq; neither builds the labels.  check still
+    prints the labels of its countermodel."""
+    derived = {"labels", "automorphisms"}
+    a = from_poset(powerset_poset(4))
+    assert not derived & vars(a).keys()
+    assert not is_valid(parse("p | ~p"), a).valid
+    assert not is_valid(parse("(p -> q) | (q -> p)"), a).valid
+    eval_formula(parse("p & q -> r"), a, {"p": 1, "q": 2, "r": 3})
+    assert not derived & vars(a).keys()
+    assert is_valid(parse("p & q & r -> p"), a).valid
+    assert derived & vars(a).keys() == {"automorphisms"} and unbuilt(a)
+    b = from_poset(powerset_poset(4))
+    b.leq
+    assert derived & vars(b).keys() == {"automorphisms"}
+    path = tmp_path / "vee.json"
+    path.write_text(json.dumps({"name": "vee", "elements": ["r", "a", "b"],
+                                "le": [[0, 1], [0, 2]]}))
+    assert main(["check", "~p | ~~p", "--algebra", f"poset:{path}"]) == 1
+    assert "countermodel: p -> {a} (#1); value {a,b}" in capsys.readouterr().out
+
+
+def eager_labels(p):
+    """The labels as from_poset built them before they were built on first
+    read: each up-set as the set of its poset labels."""
+    return tuple("{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
+                 for u in open_sets(p).tolist())
+
+
+def test_labels_built_on_first_read_match_the_eager_build():
+    posets = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    posets += [powerset_poset(n) for n in range(1, 5)] + [chain_poset(n) for n in range(9)]
+    for p in posets:
+        a = from_poset(p)
+        assert "labels" not in vars(a)
+        assert a.labels == eager_labels(p), p.name
+
+
 def test_negations_on_masks_match_the_tables():
     """The KP class predicate computes the negations on the masks of a
     poset-backed algebra and on the imp table of its table copy."""
