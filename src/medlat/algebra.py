@@ -41,6 +41,7 @@ MAX_ALGEBRA_SIZE = 1 << 13  # elements; each of the four tables, when built, is 
 ELEMENT_DTYPE = np.uint16   # of every array of element indices an algebra holds
 assert MAX_ALGEBRA_SIZE <= 1 << 16, "element indices must fit ELEMENT_DTYPE"
 _TABLE_BLOCK = 1 << 20      # table entries computed at a time
+_LIFT_BLOCK = 1 << 16       # lifted automorphism entries computed at a time
 VALIDATE_CAP = 320
 BN_CAP = 5
 
@@ -224,10 +225,18 @@ def _check_automorphisms(p: Poset) -> None:
 
 def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     """The element permutations U |-> sigma(U) of B(p), one ELEMENT_DTYPE row
-    per automorphism sigma of p (checked by ``_check_automorphisms``)."""
-    lifted = _index_of_masks(_position_tables(masks, p.size),
-                             kernels.permute_masks(masks, np.asarray(p.automorphisms)))
-    return lifted.astype(ELEMENT_DTYPE)
+    per automorphism sigma of p (checked by ``_check_automorphisms``).  A
+    band of about ``_LIFT_BLOCK`` entries is lifted at a time, so only its
+    uint64 images and int32 positions are held: all of bn(5)'s 120 rows at
+    once held about 24 MB for a 1.8 MB result."""
+    sigma = np.asarray(p.automorphisms)
+    tables = _position_tables(masks, p.size)
+    lifted = np.empty((len(sigma), len(masks)), dtype=ELEMENT_DTYPE)
+    rows = max(1, _LIFT_BLOCK // len(masks))
+    for lo in range(0, len(sigma), rows):
+        images = kernels.permute_masks(masks, sigma[lo:lo + rows])
+        lifted[lo:lo + rows] = _index_of_masks(tables, images)
+    return lifted
 
 
 def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndarray | None = None):

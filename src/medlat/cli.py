@@ -15,6 +15,7 @@ where <a>, <b> are element indices or unique element labels.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -331,7 +332,12 @@ def _budget(text: str) -> int:
     return lg._check_budget(budget, "--budget")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it, so
+    repeated ``main`` calls in one process parse with one tree.  Sharing it
+    is safe: argparse looks up sys.stdout, sys.stderr and the terminal width
+    when it prints, and ``main`` reads MEDLAT_BUDGET on each call."""
     ap = argparse.ArgumentParser(prog="medlat", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

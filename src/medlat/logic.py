@@ -388,7 +388,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     (mixed-radix, variables sorted by name) order; the countermodel
     returned is always the least one.  If the step count exceeds the
     budget, a seeded sampling mode must be requested explicitly and can
-    only answer invalid-or-unknown.  Either mode refuses more than 2**63 - 1 valuations.
+    only answer invalid-or-unknown; a negative seed is an input error.
+    Either mode refuses more than 2**63 - 1 valuations.
     Both compute in ``a.operations``, on the up-set masks of a poset-backed
     algebra, so neither builds its tables.
     The scan is single-threaded: ``workers`` must be 1, the value the benchmark
@@ -396,6 +397,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     """
     if workers != 1:
         raise InputError(f"workers must be 1 (the scan is single-threaded), got {workers!r}")
+    if sample_seed is not None and sample_seed < 0:
+        raise InputError(f"the sampling seed must be at least 0, got {sample_seed}")
     var_order = variables(f)
     k = len(var_order)
     m = a.size

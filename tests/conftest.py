@@ -1,10 +1,20 @@
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medlat
 from medlat.logic import And, Bot, Imp, Not, Or, Top, Var, parse
 from medlat.poset import Poset, make_poset
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports this medlat."""
+    src = str(Path(medlat.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture

@@ -2,11 +2,14 @@ import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_poset
+from conftest import child_env, random_poset
 from medlat import algebra, kernels, poset
 from medlat.algebra import (
     AlgebraMap,
@@ -665,6 +668,53 @@ def test_automorphism_rows_that_are_no_group_fill_the_right_tables(case, fork):
     p, auts = ((antichain_poset(3), [[1, 2, 0]]) if case.startswith("antichain")
                else (fork, [[0, 2, 1]]))
     _same_tables(p, auts)
+
+
+@pytest.mark.parametrize("rows", [1, 5, None])
+@pytest.mark.parametrize("case", [f"powerset{n}" for n in range(1, 6)] + [
+    "antichain4-S4", "antichain3-lone-3-cycle", "fork-swap", "fork-swap-without-identity"])
+def test_banded_lift_equals_the_one_shot_lift(monkeypatch, case, rows, fork):
+    """Lifting the automorphisms a band of rows at a time gives the array
+    that permuting every mask by every row at once gave: one row per band,
+    five (a short last band where the rows are not a multiple of five) and
+    the default band."""
+    if case.startswith("powerset"):
+        p = powerset_poset(int(case[-1]))
+    else:
+        p = _with_automorphisms(*{
+            "antichain4-S4": (antichain_poset(4), list(itertools.permutations(range(4)))),
+            "antichain3-lone-3-cycle": (antichain_poset(3), [[1, 2, 0]]),
+            "fork-swap": (fork, [[0, 1, 2], [0, 2, 1]]),
+            "fork-swap-without-identity": (fork, [[0, 2, 1]]),
+        }[case])
+    masks = open_sets(p)
+    if rows is not None:
+        monkeypatch.setattr(algebra, "_LIFT_BLOCK", rows * len(masks))
+    one_shot = algebra._index_of_masks(algebra._position_tables(masks, p.size),
+                                       kernels.permute_masks(masks, np.asarray(p.automorphisms)))
+    lifted = algebra._lift_automorphisms(p, masks)
+    assert lifted.dtype == algebra.ELEMENT_DTYPE
+    assert np.array_equal(lifted, one_shot)
+    assert np.array_equal(from_poset(p).automorphisms, one_shot)
+
+
+# The child prints its peak RSS in KiB.  VmHWM starts afresh at exec, unlike
+# ru_maxrss, which a child inherits from a large parent such as this one.
+_LIFT_PEAK = """
+from medlat.algebra import bn
+bn(5).automorphisms
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_lifting_bn5_automorphisms_peaks_below_40_mb():
+    """bn(5)'s 120 x 7,580 lift, a 1.8 MB result, is made a band at a time;
+    all rows at once held about 24 MB more and peaked at 54-58 MB."""
+    out = subprocess.run([sys.executable, "-c", _LIFT_PEAK], capture_output=True, text=True,
+                         env=child_env(), check=True, timeout=120).stdout
+    assert int(out) <= 40 * 1024
 
 
 def test_bn_computes_one_implication_row_per_orbit(monkeypatch):

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medlat
-from medlat.cli import main, resolve_algebra, resolve_element
+from conftest import child_env
+from medlat.cli import build_parser, main, resolve_algebra, resolve_element
 from medlat.errors import InputError
 from medlat.algebra import bn, chain_algebra, from_poset
 from medlat.poset import enumerate_posets, max_antichain_size
@@ -245,6 +245,13 @@ def test_check_sampling_mode(capsys):
         assert (rc, d["valid"], d["mode"], err) == (want_rc, want_valid, "sampling", "")
 
 
+def test_a_negative_sampling_seed_exits_2(capsys):
+    rc, out, err = run(capsys, "check", "p | ~p", "--algebra", "bn:3", "--budget", "50",
+                       "--sample", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "error: the sampling seed must be at least 0, got -1\n"
+
+
 def test_check_json_byte_stable(capsys):
     rc1, out1, _ = run(capsys, "check", "~p | ~~p", "--algebra", "bn:2", "--json")
     rc2, out2, _ = run(capsys, "check", "~p | ~~p", "--algebra", "bn:2", "--json")
@@ -252,6 +259,47 @@ def test_check_json_byte_stable(capsys):
     d = json.loads(out1)
     assert d["valid"] is False
     assert d["countermodel"]["assignment"] == {"p": 1}
+
+
+# (MEDLAT_BUDGET, argv) pairs; "p -> p" in bn:2 needs more than one step
+_REUSED = [
+    (None, ["check", "p | ~p", "--algebra", "bn:2"]),
+    ("1", ["check", "p -> p", "--algebra", "bn:2"]),
+    (None, ["countermodel", "~p | ~~p", "--max-size", "4", "--json"]),
+    (None, ["report", "--algebra", "bn:3", "--json"]),
+    ("1e6", ["check", "p -> p", "--algebra", "bn:2"]),
+    (None, ["export", "--dot", "--algebra", "bn:2"]),
+    (None, ["verify", "factor", "--max-poset", "3"]),
+    (None, ["enumerate", "--posets", "3"]),
+    (None, ["check", "p", "--algebra", "bn:2", "--parallel", "2"]),
+    (None, ["--help"]),
+]
+
+
+def _outcome(capsys, monkeypatch, budget_env, argv):
+    if budget_env is None:
+        monkeypatch.delenv("MEDLAT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("MEDLAT_BUDGET", budget_env)
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:  # argparse exits on --help and on a bad flag
+        rc = ("exit", e.code)
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
+    """main parses with one parser per process; each argv gives the same
+    stdout, stderr and exit code whatever ran before it, and MEDLAT_BUDGET
+    is read on every call."""
+    assert build_parser() is build_parser()
+    first = [_outcome(capsys, monkeypatch, *case) for case in _REUSED]
+    assert [rc for rc, _, _ in first] == [1, 2, 0, 0, 0, 0, 0, 0, ("exit", 2), ("exit", 0)]
+    assert first[8][2].startswith("usage: medlat") and first[9][1].startswith("usage: medlat")
+    for order in (range(len(_REUSED)), reversed(range(len(_REUSED)))):
+        for i in order:
+            assert _outcome(capsys, monkeypatch, *_REUSED[i]) == first[i], _REUSED[i]
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +550,6 @@ def _write_poset_files(tmp):
         }))
 
 
-def _child_env() -> dict:
-    """The environment of a child process that imports this medlat."""
-    src = str(Path(medlat.__file__).resolve().parent.parent)
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-
 def _assert_output_error(returncode: int, stderr: str) -> None:
     """Exit 2 with one ``error:`` line: no traceback, and no "Exception
     ignored" line from the interpreter's flush of standard output at exit."""
@@ -536,7 +577,7 @@ def test_oversized_specs_are_refused_before_allocating(tmp_path, spec):
     _write_poset_files(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, "report", "--algebra", spec.format(tmp=tmp_path)],
-        capture_output=True, text=True, env=_child_env(), timeout=60)
+        capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert int(proc.stdout) < 200 * 1024  # peak RSS below 200 MB
@@ -591,7 +632,7 @@ def test_a_reader_that_stops_early_gets_exit_2():
     outgrows the pipe, so the child is still writing when the pipe closes."""
     proc = subprocess.Popen([sys.executable, "-m", "medlat.cli", "enumerate", "--posets", "7"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=_child_env())
+                            env=child_env())
     assert proc.stdout.readline() == "2045 posets with 7 elements\n"
     proc.stdout.close()
     stderr = proc.stderr.read()
@@ -601,7 +642,7 @@ def test_a_reader_that_stops_early_gets_exit_2():
 def test_an_unwritable_output_file_gets_exit_2(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "medlat.cli", "export", "--algebra", "bn:2",
                            "-o", str(tmp_path / "missing" / "x.json")],
-                          capture_output=True, text=True, env=_child_env(), timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60)
     _assert_output_error(proc.returncode, proc.stderr)
     assert proc.stdout == ""
 
@@ -612,5 +653,5 @@ def test_a_full_disk_gets_exit_2():
         proc = subprocess.run([sys.executable, "-m", "medlat.cli", "countermodel", "p",
                                "--max-size", "7", "--json"],
                               stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=_child_env(), timeout=60)
+                              env=child_env(), timeout=60)
     _assert_output_error(proc.returncode, proc.stderr)

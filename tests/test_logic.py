@@ -325,6 +325,17 @@ def test_a_budget_below_one_is_refused(monkeypatch):
     assert is_valid(parse("p -> p"), bn(1), budget=6).valid  # 2 valuations x 3 steps
 
 
+def test_a_negative_sampling_seed_is_refused_before_any_work():
+    """numpy refuses a negative seed with a ValueError; is_valid refuses it
+    as an input error first, even where the scan would be refused for size
+    or would need no sampling."""
+    wide = parse(" | ".join("abcdefghijklmno"))  # 19^15 valuations overflow int64
+    for f, budget in ((parse("p | ~p"), 50), (parse("p | ~p"), None), (wide, 1000)):
+        with pytest.raises(InputError, match="seed must be at least 0, got -1"):
+            is_valid(f, bn(3), budget=budget, sample_seed=-1)
+    assert is_valid(parse("p | ~p"), bn(3), budget=50, sample_seed=0).valid is False
+
+
 # ---------------------------------------------------------------------------
 # axioms, levels, searches
 # ---------------------------------------------------------------------------

@@ -2,20 +2,17 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import medlat
 import medlat.poset as poset_module
-from conftest import random_poset, transitive_closure_poset
+from conftest import child_env, random_poset, transitive_closure_poset
 from medlat.algebra import from_poset
 from medlat.errors import InputError, ResourceLimitError
 from medlat.poset import (
@@ -510,12 +507,9 @@ def test_max_antichain_of_a_long_chain():
 
 
 def test_import_does_not_load_networkx():
-    src = str(Path(medlat.__file__).resolve().parent.parent)
     code = "import sys, medlat; print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60).stdout
+                         env=child_env(), check=True, timeout=60).stdout
     assert out.strip() == "False"
 
 
