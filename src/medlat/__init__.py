@@ -14,6 +14,8 @@ from .poset import (
 from .algebra import (
     AlgebraMap,
     BrouwerAlgebra,
+    TableAlgebra,
+    UpSetAlgebra,
     all_negations_meet_irreducible,
     bn,
     chain_algebra,

@@ -2,22 +2,23 @@
 
 A Brouwer algebra here is a bounded distributive lattice with the
 co-implication  a -> b = min{c : a + c >= b}  (order-dual of a Heyting
-algebra); the *least* element is the designated truth value.  Its four
-tables (order, join, meet, implication) are m x m numpy arrays.  An algebra
-built from a poset (``from_poset``, and so ``bn`` and ``chain_algebra``)
-holds the poset and its up-set masks instead, and builds each table, its
-element labels and its lifted automorphisms only when first read: scans,
-``eval_formula`` and negations compute on the masks
-(``BrouwerAlgebra.operations``), order questions (irreducibles, widths, DOT
-export) read ``leq`` alone, and intervals, factors and JSON the others.
-Labels are read by what prints or names an element; the automorphisms by
-the table builder and by scans with a leading variable (see ``kernels``).
+algebra); the *least* element is the designated truth value.  A
+``TableAlgebra`` (``from_tables``, the free algebras, intervals, factors)
+holds its four tables (order, join, meet, implication) as m x m arrays.  An
+``UpSetAlgebra`` (``from_poset``, and so ``bn`` and ``chain_algebra``) holds
+a poset and its up-set masks, and builds each table, its element labels and
+its lifted automorphisms only when first read: scans, ``eval_formula`` and
+negations compute on the masks (``operations``), order questions
+(irreducibles, widths, DOT export) read ``leq`` alone, and intervals,
+factors and JSON the others.  Labels are read by what prints or names an
+element; the automorphisms by the join, meet and imp builds and by scans
+with a leading variable (see ``kernels``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -46,57 +47,43 @@ VALIDATE_CAP = 320
 BN_CAP = 5
 
 
-_TABLES = ("leq", "join", "meet", "imp")
-_DERIVED = _TABLES + ("labels", "automorphisms")  # built on first read when poset-backed
-
-
-@dataclass(frozen=True, eq=False)
 class BrouwerAlgebra:
-    # The four tables; all None for a poset-backed algebra, which builds each
-    # from its poset and masks when it is first read (see __getattr__), and
-    # so its labels and automorphisms when they are left None too.
-    leq: np.ndarray | None   # bool (m, m)
-    join: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice +
-    meet: np.ndarray | None  # ELEMENT_DTYPE (m, m), the lattice x
-    imp: np.ndarray | None   # ELEMENT_DTYPE (m, m)
+    """A ``TableAlgebra`` or an ``UpSetAlgebra``; automorphisms are None or
+    ELEMENT_DTYPE (g, m) element permutations."""
+
+    def check_element(self, x: int) -> int:
+        x = int(x)
+        if not 0 <= x < self.size:
+            raise InputError(f"element index {x} out of range for algebra of size {self.size}")
+        return x
+
+    def __repr__(self):
+        return f"BrouwerAlgebra({self.provenance!r}, size={self.size})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TableAlgebra(BrouwerAlgebra):
+    leq: np.ndarray   # bool (m, m)
+    join: np.ndarray  # ELEMENT_DTYPE (m, m), the lattice +
+    meet: np.ndarray  # ELEMENT_DTYPE (m, m), the lattice x
+    imp: np.ndarray   # ELEMENT_DTYPE (m, m)
     bottom: int
     top: int
-    labels: tuple[str, ...] | None
+    labels: tuple[str, ...]
     provenance: str
-    poset: Poset | None = None
-    open_masks: np.ndarray | None = None  # uint64 per element, ascending, when poset-backed
-    # ELEMENT_DTYPE (g, m) element permutations.  A factory, unlike a default,
-    # leaves no class attribute, which a dropped field would read as None
-    # instead of reaching __getattr__.
-    automorphisms: np.ndarray | None = field(default_factory=lambda: None)
+    automorphisms = None  # a class attribute: a table algebra keeps none
 
     def __post_init__(self):
-        """Takes the element arrays in any integer dtype and stores them in
-        ELEMENT_DTYPE, after refusing more than MAX_ALGEBRA_SIZE elements and
-        every entry outside [0, m): narrowing first would wrap -1 or
-        2**16 + x onto a valid-looking element.  Tables left out (all four
-        None) are dropped from the instance, to be built when first read, and
-        so are the labels and automorphisms of such an algebra when None."""
-        given = [getattr(self, t) is not None for t in _TABLES]
-        if any(given) and not all(given):
-            raise InputError("an algebra takes all four tables or none of them")
-        lazy = not any(given)
-        if lazy:
-            if self.poset is None or self.open_masks is None:
-                raise InputError("an algebra without tables needs its poset and up-set masks")
-            for t in _DERIVED:
-                if getattr(self, t) is None:
-                    object.__delattr__(self, t)
+        """Stores join, meet and imp, in any integer dtype, in ELEMENT_DTYPE,
+        after refusing more than MAX_ALGEBRA_SIZE elements and every entry
+        outside [0, m): narrowing first would wrap -1 or 2**16 + x."""
         m = self.size
         if m > MAX_ALGEBRA_SIZE:
             raise ResourceLimitError(f"{self.provenance} has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-        if not lazy:
-            self.leq.setflags(write=False)
-        for name in ("automorphisms",) if lazy else ("join", "meet", "imp", "automorphisms"):
-            t = self.__dict__.get(name)
-            if t is None:  # automorphisms are optional, or built when first read
-                continue
-            if t.ndim != 2 or t.shape[1] != m or (t.shape[0] != m and name != "automorphisms"):
+        self.leq.setflags(write=False)
+        for name in ("join", "meet", "imp"):
+            t = getattr(self, name)
+            if t.shape != (m, m):
                 raise InputError(f"{name} table shape {t.shape} does not match size {m}")
             kind = t.dtype.kind
             if kind not in "iu":
@@ -108,50 +95,87 @@ class BrouwerAlgebra:
                 object.__setattr__(self, name, t)
             t.setflags(write=False)
 
-    def __getattr__(self, name):
-        """Reached only for an attribute the instance lacks: a table, the
-        labels or the automorphisms of a poset-backed algebra not read
-        before.  That one alone is built then, in the masks' numbering, and
-        kept: a table by ``_up_set_table`` (which reads the automorphisms),
-        the automorphisms by ``_lift_automorphisms`` (None when the poset
-        has none), the labels as the sets of poset labels."""
-        masks = self.__dict__.get("open_masks")
-        if name not in _DERIVED or masks is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        p = self.poset
-        if name == "labels":
-            value = tuple("{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
-                          for u in masks.tolist())
-        elif name == "automorphisms":
-            value = None if p.automorphisms is None else _lift_automorphisms(p, masks)
-        else:
-            value = _up_set_table(name, p, masks, self.automorphisms)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(self, name, value)
-        return value
-
     @property
     def size(self) -> int:
-        return len(self.open_masks) if self.open_masks is not None else self.leq.shape[0]
+        return self.leq.shape[0]
 
     @cached_property
     def operations(self) -> kernels.Operations:
-        """The algebra as the kernels compute in it: on the up-set masks when
-        it has a poset, which builds no table, else on its tables."""
-        if self.open_masks is not None:
-            return kernels.mask_operations(self.open_masks, self.poset.down_masks)
+        """Table lookups, one per operation."""
         tables = (self.join, self.meet, self.imp)
         return kernels.Operations(*map(kernels.table_operation, tables), self.bottom, self.top)
 
-    def check_element(self, x: int) -> int:
-        x = int(x)
-        if not 0 <= x < self.size:
-            raise InputError(f"element index {x} out of range for algebra of size {self.size}")
-        return x
 
-    def __repr__(self):
-        return f"BrouwerAlgebra({self.provenance!r}, size={self.size})"
+@dataclass(frozen=True, eq=False, repr=False)
+class UpSetAlgebra(BrouwerAlgebra):
+    """The up-sets of poset, element i being open_masks[i].  Each table,
+    the labels and the automorphisms are built on first read, that one
+    alone, and kept in the instance ``__dict__``."""
+    poset: Poset
+    open_masks: np.ndarray  # uint64 per element, ascending
+    provenance: str
+    top = 0  # the empty up-set
+
+    def __post_init__(self):
+        """Refuses more than MAX_ALGEBRA_SIZE elements, and automorphisms of
+        the poset that are not rows of its element indices or do not
+        preserve its order."""
+        m, p = self.size, self.poset
+        if m > MAX_ALGEBRA_SIZE:
+            raise ResourceLimitError(f"{self.provenance} has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
+        if p.automorphisms is None:
+            return
+        sigma = np.asarray(p.automorphisms)
+        n = p.size
+        if (sigma.ndim != 2 or sigma.shape[1] != n or not np.issubdtype(sigma.dtype, np.integer)
+                or ((sigma < 0) | (sigma >= n)).any()):
+            raise InputError(f"automorphisms of {p.name!r} must be rows of {n} element indices")
+        bad = (p.leq[sigma[:, :, None], sigma[:, None, :]] != p.leq).any(axis=(1, 2))
+        if bad.any():
+            raise InputError(f"row {int(np.flatnonzero(bad)[0])} of the automorphisms "
+                             f"of {p.name!r} does not preserve the order")
+
+    @property
+    def size(self) -> int:
+        return len(self.open_masks)
+
+    @property
+    def bottom(self) -> int:
+        return self.size - 1  # the whole carrier
+
+    @cached_property
+    def leq(self) -> np.ndarray:
+        return _up_set_table("leq", self.poset, self.open_masks)
+
+    @cached_property
+    def join(self) -> np.ndarray:
+        return _up_set_table("join", self.poset, self.open_masks, self.automorphisms)
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        return _up_set_table("meet", self.poset, self.open_masks, self.automorphisms)
+
+    @cached_property
+    def imp(self) -> np.ndarray:
+        return _up_set_table("imp", self.poset, self.open_masks, self.automorphisms)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each up-set as the set of its poset labels."""
+        p = self.poset
+        return tuple("{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
+                     for u in self.open_masks.tolist())
+
+    @cached_property
+    def automorphisms(self) -> np.ndarray | None:
+        """The poset's automorphisms lifted to element permutations."""
+        p = self.poset
+        return None if p.automorphisms is None else _lift_automorphisms(p, self.open_masks)
+
+    @cached_property
+    def operations(self) -> kernels.Operations:
+        """Mask operations, which build no table."""
+        return kernels.mask_operations(self.open_masks, self.poset.down_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +233,9 @@ def _index_of_masks(tables: list[np.ndarray], wanted: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _check_automorphisms(p: Poset) -> None:
-    """Refuses automorphisms of p that are not rows of element indices of
-    p, or that do not preserve its order."""
-    sigma = np.asarray(p.automorphisms)
-    n = p.size
-    if (sigma.ndim != 2 or sigma.shape[1] != n or not np.issubdtype(sigma.dtype, np.integer)
-            or ((sigma < 0) | (sigma >= n)).any()):
-        raise InputError(f"automorphisms of {p.name!r} must be rows of {n} element indices")
-    bad = (p.leq[sigma[:, :, None], sigma[:, None, :]] != p.leq).any(axis=(1, 2))
-    if bad.any():
-        raise InputError(f"row {int(np.flatnonzero(bad)[0])} of the automorphisms "
-                         f"of {p.name!r} does not preserve the order")
-
-
 def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     """The element permutations U |-> sigma(U) of B(p), one ELEMENT_DTYPE row
-    per automorphism sigma of p (checked by ``_check_automorphisms``).  A
+    per automorphism sigma of p (checked by ``UpSetAlgebra``).  A
     band of about ``_LIFT_BLOCK`` entries is lifted at a time, so only its
     uint64 images and int32 positions are held: all of bn(5)'s 120 rows at
     once held about 24 MB for a 1.8 MB result."""
@@ -236,6 +246,7 @@ def _lift_automorphisms(p: Poset, masks: np.ndarray) -> np.ndarray:
     for lo in range(0, len(sigma), rows):
         images = kernels.permute_masks(masks, sigma[lo:lo + rows])
         lifted[lo:lo + rows] = _index_of_masks(tables, images)
+    lifted.setflags(write=False)
     return lifted
 
 
@@ -244,16 +255,17 @@ def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndar
     of p, element i being masks[i], in any order: join = intersection,
     meet = union, and U -> V = {a : [a) & U <= V}, computed a band of about
     ``_TABLE_BLOCK`` entries at a time.  A result mask is turned back into
-    its element by the byte-radix tables of ``_position_tables``.
+    its element by the byte-radix tables of ``_position_tables``.  The
+    table is returned read-only.
 
-    automorphisms, when given, are element permutations g of the algebra
-    (rows of ``_lift_automorphisms``, which a poset-backed algebra lifts on
-    the first read of a table; they need not form a group).  Row x
-    is then filled from a row r with g(r) = x that is computed directly:
-    leq[x, g(v)] = leq[r, v] and T[x, g(v)] = g(T[r, v]) for join, meet and
-    imp.  r is the least preimage of x under the rows, taken only when r is
-    its own least preimage; every other row is computed directly: for a
-    group, one row per orbit, its least element, and with none, every row."""
+    automorphisms, given only for join, meet and imp, are element
+    permutations g of the algebra (rows of ``_lift_automorphisms``; they
+    need not form a group).  Row x is then filled from a row r with g(r) = x
+    that is computed directly: T[x, g(v)] = g(T[r, v]).  r is the least
+    preimage of x under the rows, taken only when r is its own least
+    preimage; every other row is computed directly: for a group, one row
+    per orbit, its least element, and with none, every row.  leq, a compare
+    per entry with no lookup, is computed directly in every row."""
     m = len(masks)
     tables = None if name == "leq" else _position_tables(masks, p.size)
     luts = kernels.imp_luts(p.down_masks) if name == "imp" else None
@@ -279,42 +291,27 @@ def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndar
                    else u & masks if name == "join" else u | masks)
             table[band] = _index_of_masks(tables, out)
     # Each g fills the rows it reaches from their sources, a band at a time:
-    # one take along the rows by g^-1, and for join, meet and imp one take of
-    # g on the values.
+    # one take along the rows by g^-1 and one take of g on the values.
     for k, (g, inv) in enumerate(fills):
         targets = np.flatnonzero(filled & (via == k))
         for lo in range(0, len(targets), rows):
             x = targets[lo:lo + rows]
             t = table[source[x]].take(inv, axis=1)
-            table[x] = t if name == "leq" else g.take(t, mode="clip")  # every entry is an element
+            table[x] = g.take(t, mode="clip")  # every entry is an element
+    table.setflags(write=False)
     return table
 
 
-def from_poset(p: Poset, provenance: str | None = None) -> BrouwerAlgebra:
+def from_poset(p: Poset, provenance: str | None = None) -> UpSetAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
     and numbered by ascending mask: bottom = whole carrier, top = empty set;
-    its provenance is ``B(name of p)`` unless given.
-    It holds p and its masks alone.  p's automorphisms, when it carries
-    them, are checked here; each table, the element labels and the
-    automorphisms lifted to element permutations are built when first read
-    (see ``BrouwerAlgebra.__getattr__``), and the table builder then
-    computes one row per orbit and fills the others by permutation."""
-    masks = open_sets(p)
-    m = len(masks)
-    if m > MAX_ALGEBRA_SIZE:
-        raise ResourceLimitError(f"B({p.name}) has {m} elements; the cap is {MAX_ALGEBRA_SIZE}")
-    if p.automorphisms is not None:
-        _check_automorphisms(p)
-    return BrouwerAlgebra(
-        leq=None, join=None, meet=None, imp=None,
-        bottom=m - 1, top=0,
-        labels=None, provenance=provenance or f"B({p.name})",
-        poset=p, open_masks=masks,
-    )
+    its provenance is ``B(name of p)`` unless given.  When p carries
+    automorphisms, join, meet and imp are built one row per orbit."""
+    return UpSetAlgebra(p, open_sets(p), provenance or f"B({p.name})")
 
 
 def from_tables(leq, join, meet, imp, bottom, top, labels=None,
-                provenance: str = "tables") -> BrouwerAlgebra:
+                provenance: str = "tables") -> TableAlgebra:
     """Wrap copies of raw tables without validating the laws (see validate);
     the algebra refuses entries that are not elements.  An integer table is
     copied in its own dtype, any other (a float zeros table) as int64."""
@@ -323,11 +320,11 @@ def from_tables(leq, join, meet, imp, bottom, top, labels=None,
     join, meet, imp = (t if t.dtype.kind in "iu" else t.astype(np.int64) for t in (join, meet, imp))
     if labels is None:
         labels = tuple(f"e{i}" for i in range(leq.shape[0]))
-    return BrouwerAlgebra(leq, join, meet, imp, int(bottom), int(top), tuple(labels), provenance)
+    return TableAlgebra(leq, join, meet, imp, int(bottom), int(top), tuple(labels), provenance)
 
 
 @lru_cache(maxsize=None)
-def bn(n: int) -> BrouwerAlgebra:
+def bn(n: int) -> UpSetAlgebra:
     """The level-n algebra: opens of the nonempty subsets of {0..n-1} by reverse inclusion."""
     if n < 1:
         raise InputError("bn needs n >= 1")
@@ -337,7 +334,7 @@ def bn(n: int) -> BrouwerAlgebra:
 
 
 @lru_cache(maxsize=None)
-def chain_algebra(m: int) -> BrouwerAlgebra:
+def chain_algebra(m: int) -> UpSetAlgebra:
     if m < 1:
         raise InputError("chain algebra needs at least one element")
     return from_poset(chain_poset(m - 1), provenance=f"chain:{m}")
@@ -447,7 +444,7 @@ def irreducibles(a: BrouwerAlgebra) -> tuple[list[int], list[int]]:
 # intervals and factors
 # ---------------------------------------------------------------------------
 
-def interval(a: BrouwerAlgebra, lo: int, hi: int) -> BrouwerAlgebra:
+def interval(a: BrouwerAlgebra, lo: int, hi: int) -> TableAlgebra:
     """The interval [lo, hi] with inherited lattice operations and
     implication  u ->' v = (u -> v) + lo."""
     lo = a.check_element(lo)
@@ -465,9 +462,8 @@ def interval(a: BrouwerAlgebra, lo: int, hi: int) -> BrouwerAlgebra:
     imp = pos[a.join[a.imp[sub], lo]]
     leq = a.leq[sub]
     labels = tuple(a.labels[i] for i in elems)
-    return BrouwerAlgebra(leq, join, meet, imp,
-                          int(pos[lo]), int(pos[hi]), labels,
-                          f"interval({a.provenance},{lo},{hi})")
+    return TableAlgebra(leq, join, meet, imp, int(pos[lo]), int(pos[hi]), labels,
+                        f"interval({a.provenance},{lo},{hi})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,8 +517,8 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     bottom_q = int(class_of[a.bottom])
     top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
-    alg = BrouwerAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
-                         labels, f"factor({a.provenance},{f})")
+    alg = TableAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
+                       labels, f"factor({a.provenance},{f})")
     iso = _factor_map(a, f, alg, reps) if k > 1 else None
     return FactorResult(alg, class_of, tuple(reps.tolist()), k == 1, iso)
 
@@ -643,7 +639,7 @@ def is_isomorphic(a1: BrouwerAlgebra, a2: BrouwerAlgebra) -> AlgebraMap | None:
 def all_negations_meet_irreducible(a: BrouwerAlgebra) -> tuple[bool, int | None]:
     """True iff -x is meet-irreducible for every element x; else the least
     witness x."""
-    ops = a.operations  # on the masks of a poset-backed algebra: no imp table
+    ops = a.operations  # on the masks of an up-set algebra: no imp table
     negations = ops.element(ops.imp(ops.value(np.arange(a.size)), ops.top))
     bad = np.flatnonzero(~_irreducible_masks(a)[0][negations])
     return (False, int(bad[0])) if bad.size else (True, None)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import BrouwerAlgebra, bn
+from .algebra import TableAlgebra, bn
 from .algebra import AlgebraMap, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
@@ -192,7 +192,7 @@ def _minimal(g, shifts):
 
 
 @lru_cache(maxsize=None)
-def free_algebra(n: int) -> tuple[BrouwerAlgebra, tuple[FreeElement, ...]]:
+def free_algebra(n: int) -> tuple[TableAlgebra, tuple[FreeElement, ...]]:
     """Operation tables of the free lattice over its enumerated normal forms.
 
     On family masks F with U = ``_up``(F): a <= b iff F_a lies inside U_b,
@@ -212,7 +212,7 @@ def free_algebra(n: int) -> tuple[BrouwerAlgebra, tuple[FreeElement, ...]]:
         except InputError:
             raise MedlatError(f"free:{n} table entry is not a normal form") from None
 
-    alg = BrouwerAlgebra(
+    alg = TableAlgebra(
         (fam[:, None] & ~up[None, :]) == 0,
         number(_minimal(fam[:, None] | fam[None, :], shifts)),
         number(_minimal(up[:, None] & up[None, :], shifts)),

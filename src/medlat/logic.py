@@ -289,7 +289,7 @@ def render(f: Formula) -> str:
 def eval_formula(f: Formula, a: BrouwerAlgebra, valuation: dict[str, int]) -> int:
     """Plain recursive evaluation (the slow path; also the independent
     re-check used on reported countermodels), in the algebra's operations:
-    on the up-set masks of a poset-backed algebra, which builds no table."""
+    on the up-set masks of an ``UpSetAlgebra``, which builds no table."""
     ops = a.operations
 
     def go(g):
@@ -390,8 +390,8 @@ def is_valid(f: Formula, a: BrouwerAlgebra, budget: int | None = None,
     budget, a seeded sampling mode must be requested explicitly and can
     only answer invalid-or-unknown; a negative seed is an input error.
     Either mode refuses more than 2**63 - 1 valuations.
-    Both compute in ``a.operations``, on the up-set masks of a poset-backed
-    algebra, so neither builds its tables.
+    Both compute in ``a.operations``, on the up-set masks of an
+    ``UpSetAlgebra``, so neither builds its tables.
     The scan is single-threaded: ``workers`` must be 1, the value the benchmark
     harness passes, and the keyword goes once the harness stops passing it.
     """

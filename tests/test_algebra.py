@@ -13,7 +13,7 @@ from conftest import child_env, random_poset
 from medlat import algebra, kernels, poset
 from medlat.algebra import (
     AlgebraMap,
-    BrouwerAlgebra,
+    TableAlgebra,
     algebra_to_dict,
     algebra_to_dot,
     algebra_to_json,
@@ -173,21 +173,19 @@ def test_every_algebra_holds_element_indices_in_the_element_dtype():
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 65_536 + 1])
-@pytest.mark.parametrize("name", ["join", "meet", "imp", "automorphisms"])
+@pytest.mark.parametrize("name", ["join", "meet", "imp"])
 def test_entries_outside_the_elements_are_refused_before_narrowing(name, bad):
     """-1, m and 2**16 + 1 are not elements of the 3-element chain; narrowed
     to ELEMENT_DTYPE before the check, 2**16 + 1 would read as element 1."""
     base = chain_algebra(3)
     arrays = {t: getattr(base, t).astype(np.int64) for t in ("join", "meet", "imp")}
-    arrays["automorphisms"] = np.arange(3)[None, :]
     arrays[name][0, 1] = bad
     with pytest.raises(InputError, match="out of element range"):
-        BrouwerAlgebra(base.leq, arrays["join"], arrays["meet"], arrays["imp"], base.bottom,
-                       base.top, base.labels, "bad", automorphisms=arrays["automorphisms"])
-    if name != "automorphisms":
-        with pytest.raises(InputError, match="out of element range"):
-            from_tables(base.leq, arrays["join"], arrays["meet"], arrays["imp"],
-                        base.bottom, base.top)
+        TableAlgebra(base.leq, arrays["join"], arrays["meet"], arrays["imp"], base.bottom,
+                     base.top, base.labels, "bad")
+    with pytest.raises(InputError, match="out of element range"):
+        from_tables(base.leq, arrays["join"], arrays["meet"], arrays["imp"],
+                    base.bottom, base.top)
 
 
 def test_more_elements_than_the_cap_are_refused_before_narrowing(monkeypatch):
@@ -199,7 +197,7 @@ def test_more_elements_than_the_cap_are_refused_before_narrowing(monkeypatch):
     leq = np.broadcast_to(np.True_, (m, m))
     t = np.broadcast_to(algebra.ELEMENT_DTYPE(0), (m, m))
     with pytest.raises(ResourceLimitError, match="cap"):
-        BrouwerAlgebra(leq, t, t, t, 0, 0, (), "big", automorphisms=np.full((1, m), 65_537))
+        TableAlgebra(leq, t, t, t, 0, 0, (), "big")
     base = chain_algebra(3)
     monkeypatch.setattr(algebra, "MAX_ALGEBRA_SIZE", 2)
     with pytest.raises(ResourceLimitError, match="cap"):
@@ -625,6 +623,9 @@ def test_a_non_automorphism_is_refused(fork):
             from_poset(Poset(fork.leq, fork.labels, "fork", np.array(bad)))
 
 
+TABLES = ("leq", "join", "meet", "imp")
+
+
 def _with_automorphisms(p, auts):
     return Poset(p.leq, p.labels, p.name, None if auts is None else np.array(auts, dtype=np.int32))
 
@@ -633,11 +634,11 @@ def _same_tables(p, auts):
     """from_poset of p with the automorphism rows auts equals from_poset of
     p without any: same tables, masks and labels.  Each table is read alone
     on a fresh pair of algebras, so that it is built by itself."""
-    for name in algebra._TABLES:
+    for name in TABLES:
         a, b = (from_poset(_with_automorphisms(p, x)) for x in (auts, None))
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-        assert set(algebra._TABLES) & vars(a).keys() == {name}
+        assert set(TABLES) & vars(a).keys() == {name}
     assert np.array_equal(a.open_masks, b.open_masks)
     assert (a.labels, a.bottom, a.top) == (b.labels, b.bottom, b.top)
     return a

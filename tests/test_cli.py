@@ -1,7 +1,7 @@
+import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from conftest import child_env
 from medlat.cli import build_parser, main, resolve_algebra, resolve_element
 from medlat.errors import InputError
 from medlat.algebra import bn, chain_algebra, from_poset
-from medlat.poset import enumerate_posets, max_antichain_size
+from medlat.poset import enumerate_posets, max_antichain_size, powerset_poset
 
 
 def run(capsys, *argv):
@@ -302,6 +302,59 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
             assert _outcome(capsys, monkeypatch, *_REUSED[i]) == first[i], _REUSED[i]
 
 
+# The exit code and the sha256 of stdout of each argv, one per kind of
+# algebra spec (up-set, free, interval, factor and their nesting) and per
+# command that prints one, as first recorded before the table algebras and
+# the up-set algebras became two classes.
+_PINNED = {
+    ("report", "--algebra", "bn:4", "--json"):
+        (0, "07f0a2a2a8a0f6992d1758b8f20c1ab89d362e2d2e64d6c73bacdf88502493ad"),
+    ("report", "--algebra", "chain:5", "--json"):
+        (0, "2bb3bf39eaf8d9629925f3d323efa9ec3fb87f034ea084e502ff31a0f7da8313"),
+    ("report", "--algebra", "free:3", "--json"):
+        (0, "2403696482c64ede7856d20c8af19b73c44a3c6bfa786050450aa75b2d4a0012"),
+    ("report", "--algebra", "interval:bn:3,10,0", "--json"):
+        (0, "acd0c6cf938c50dbd20b07fc8ce2e15c3f0d048dd94d518321cd6cd0ca912477"),
+    ("report", "--algebra", "interval:free:3,0,7", "--json"):
+        (0, "4af3f1861c0093b5b330d18de393caaaee75a8cd21e3504d03dc4f627a3047d9"),
+    ("report", "--algebra", "factor:bn:4,40", "--json"):
+        (0, "d638139728e7f444d71b8d41beac3de8f5a16f6f736ee5a1a811059a4233848b"),
+    ("report", "--algebra", "factor:free:3,7", "--json"):
+        (0, "6b52ce2490ae1ee6599419e4e236d6cd8e8d0a23e454fa734a1d07ec18d684b0"),
+    ("report", "--algebra", "interval:factor:bn:3,5,3,0", "--json"):
+        (0, "9fcd75c6977742a2727ae3973bfabe58184e672d031a0e5e6ae858c7398fe4b9"),
+    ("report", "--algebra", "factor:factor:bn:3,5,2", "--json"):
+        (0, "3fd4e796d7de86432a19930931a95194082039c27d5aa3f7c37f3aa801ef1ad1"),
+    ("export", "--dot", "--algebra", "bn:3"):
+        (0, "d6a39c43ea03c49dfe8e7876f57f738c95d64d5657963fde84fd1c8e1b8e0d26"),
+    ("export", "--dot", "--algebra", "interval:factor:bn:3,5,3,0"):
+        (0, "3f24e11197ff6129a3193f909902736be4944c2f5b5766f05fd1ae99dc7dc398"),
+    ("export", "--algebra", "factor:bn:3,5"):
+        (0, "75affac990244ceab3c7f7534128997db11432f701262e290f29272074d18c68"),
+    ("check", "(p -> q) | (q -> p)", "--algebra", "bn:4"):
+        (1, "f0ab754eb904ed6f125a0d015b1869740710a1bd6c64b9d6ca2b6bf567ff329c"),
+    ("check", "p | ~p", "--algebra", "factor:free:3,7"):
+        (1, "503095b9fd1c457fd51832ed14edf99bf984cde2d42c21019485badb210d950b"),
+    ("check", "~p | ~~p", "--algebra", "bn:5"):
+        (1, "54d75bd21a88fb63f7e04c941729381fde8591892d59520c5dca89ddb8e86878"),
+    ("countermodel", "~p | ~~p", "--max-size", "4", "--json"):
+        (0, "1359a40165afa1eefdc8efaba29c23ddcdb9ab2bfd35d2d8955286e20ec311be"),
+    ("verify", "factor"):
+        (0, "24128880465c956e511f85d489fbd230b1d61f2094354ee9cf54af049a8d0b46"),
+}
+
+
+def test_cli_answers_are_pinned_byte_for_byte(capsys, monkeypatch):
+    """Each pinned argv exits with its code and prints, byte for byte, the
+    stdout it printed when pinned."""
+    monkeypatch.delenv("MEDLAT_BUDGET", raising=False)
+    got = {}
+    for argv in _PINNED:
+        rc = main(list(argv))
+        got[argv] = (rc, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert {argv: got[argv] for argv in _PINNED if got[argv] != _PINNED[argv]} == {}
+
+
 # ---------------------------------------------------------------------------
 # countermodel
 # ---------------------------------------------------------------------------
@@ -420,12 +473,14 @@ def test_verify_iso_reports_a_size_mismatch(capsys, monkeypatch):
 
 def test_verify_arrow_reports_a_broken_implication(capsys, monkeypatch):
     """One wrong implication entry in the target is a failure of the suite
-    (exit 1), not an error."""
+    (exit 1), not an error.  The target is a fresh bn(n) whose imp table,
+    built on first read, is replaced by a tampered copy."""
     def tampered(n):
-        a = bn(n)
+        a = from_poset(powerset_poset(n), provenance=f"bn:{n}")
         imp = a.imp.copy()
         imp[0, 0] = (imp[0, 0] + 1) % a.size
-        return replace(a, imp=imp)
+        vars(a)["imp"] = imp
+        return a
 
     monkeypatch.setattr("medlat.freedist.bn", tampered)
     rc, out, err = run(capsys, "verify", "arrow")
