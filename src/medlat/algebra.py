@@ -323,6 +323,37 @@ def from_tables(leq, join, meet, imp, bottom, top, labels=None,
     return TableAlgebra(leq, join, meet, imp, int(bottom), int(top), tuple(labels), provenance)
 
 
+def _from_order(leq: np.ndarray, bottom: int, top: int, labels: tuple[str, ...],
+                provenance: str) -> TableAlgebra:
+    """The algebra whose order is leq, with its join, meet and imp tables
+    built from that order alone.
+
+    A finite distributive lattice is the algebra of up-sets of its
+    join-irreducibles J (Birkhoff): each element x becomes the up-set of the
+    members of J not below it, and the tables are built on those up-sets,
+    in the order of leq's rows.  Before any table, the order is refused when
+    J has more than ``MAX_POSET_SIZE`` elements, and when it is not a
+    distributive lattice."""
+    k = len(leq)
+    ji = np.flatnonzero(single_covers(leq)[0])  # one lower cover
+    if len(ji) > MAX_POSET_SIZE:
+        raise ResourceLimitError(
+            f"{provenance} has {len(ji)} join-irreducibles; the cap is {MAX_POSET_SIZE}")
+    ups = _row_masks(~leq[ji].T)  # bit t of x: ji[t] is not below x
+    j_poset = Poset(leq[ji][:, ji], tuple(map(str, ji)), f"J({provenance})")
+    # A distributive lattice iff x |-> ups[x] is an order isomorphism onto
+    # the up-sets of J; the order is compared a band of rows at a time.
+    rows = max(1, _TABLE_BLOCK // k)
+    bands = (slice(lo, lo + rows) for lo in range(0, k, rows))
+    if not (all((((ups[r, None] | ups) == ups[r, None]) == leq[r]).all() for r in bands)
+            and np.array_equal(np.sort(ups), open_sets(j_poset))):
+        raise InputError(f"the order of {provenance} has no unique bound "
+                         "(not a distributive lattice)")
+    # The order of the up-sets ups is leq, as checked above.
+    join, meet, imp = (_up_set_table(t, j_poset, ups) for t in ("join", "meet", "imp"))
+    return TableAlgebra(leq, join, meet, imp, bottom, top, labels, provenance)
+
+
 @lru_cache(maxsize=None)
 def bn(n: int) -> UpSetAlgebra:
     """The level-n algebra: opens of the nonempty subsets of {0..n-1} by reverse inclusion."""
@@ -430,10 +461,6 @@ def _irreducible_masks(a: BrouwerAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return one_upper, one_lower
 
 
-def meet_irreducible(a: BrouwerAlgebra, x: int) -> bool:
-    return bool(_irreducible_masks(a)[0][a.check_element(x)])
-
-
 def irreducibles(a: BrouwerAlgebra) -> tuple[list[int], list[int]]:
     """(meet_irreducibles, join_irreducibles), each sorted by element index."""
     meets, joins = _irreducible_masks(a)
@@ -481,15 +508,10 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     pair, and the classes are the values of b x f, numbered in order of
     first occurrence.
 
-    A finite distributive lattice is the algebra of up-sets of its
-    join-irreducibles J (Birkhoff): each class becomes the up-set of the
-    members of J not below it, and the tables are built on those up-sets,
-    in class order.  Before any table, the quotient is refused when J has
-    more than ``MAX_POSET_SIZE`` elements, and when its order is not a
-    distributive lattice.  The operations come from the quotient order
-    alone (they are not transported), so the map [b] |-> b x f onto the
-    initial segment [0, f] is checked, as an independent test, to be a
-    bijective B-homomorphism.
+    The tables come from the quotient order alone (``_from_order``; they
+    are not transported), so the map [b] |-> b x f onto the initial segment
+    [0, f] is checked, as an independent test, to be a bijective
+    B-homomorphism.
     """
     f = a.check_element(f)
     _, first, value_class = np.unique(a.meet[:, f], return_index=True, return_inverse=True)
@@ -498,27 +520,9 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     class_of = np.argsort(order).astype(np.int32)[value_class]
     k = len(reps)
     leq_q = a.leq[a.meet[reps, f]][:, reps]
-    ji = np.flatnonzero(single_covers(leq_q)[0])  # one lower cover
-    if len(ji) > MAX_POSET_SIZE:
-        raise ResourceLimitError(
-            f"factor of {a.provenance} by {f} has {len(ji)} join-irreducibles; "
-            f"the cap is {MAX_POSET_SIZE}")
-    ups = _row_masks(~leq_q[ji].T)  # bit t of class x: ji[t] is not below x
-    j_poset = Poset(leq_q[ji][:, ji], tuple(map(str, ji)), f"J({a.provenance},{f})")
-    # A distributive lattice iff x |-> ups[x] is an order isomorphism onto
-    # the up-sets of J; the order is compared a band of rows at a time.
-    rows = max(1, _TABLE_BLOCK // k)
-    bands = (slice(lo, lo + rows) for lo in range(0, k, rows))
-    if not (all((((ups[r, None] | ups) == ups[r, None]) == leq_q[r]).all() for r in bands)
-            and np.array_equal(np.sort(ups), open_sets(j_poset))):
-        raise InputError("quotient order has no unique bound (not a distributive lattice)")
-    # The order of the up-sets ups is leq_q, as checked above.
-    join_q, meet_q, imp_q = (_up_set_table(t, j_poset, ups) for t in ("join", "meet", "imp"))
-    bottom_q = int(class_of[a.bottom])
-    top_q = int(class_of[a.top])
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
-    alg = TableAlgebra(leq_q, join_q, meet_q, imp_q, bottom_q, top_q,
-                       labels, f"factor({a.provenance},{f})")
+    alg = _from_order(leq_q, int(class_of[a.bottom]), int(class_of[a.top]), labels,
+                      f"factor({a.provenance},{f})")
     iso = _factor_map(a, f, alg, reps) if k > 1 else None
     return FactorResult(alg, class_of, tuple(reps.tolist()), k == 1, iso)
 

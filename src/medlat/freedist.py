@@ -8,9 +8,10 @@ Implication keeps exactly the components of the right-hand side that do
 not sit below the left-hand side.
 
 The operations on ``FreeElement`` work one pair at a time and are the
-reference.  ``free_algebra`` builds its tables on family masks instead: bit
-s - 1 of a mask stands for the generator subset s, so a family is one int
-and each table is a few numpy passes over all pairs.
+reference.  ``free_algebra`` builds only its order, on family masks: bit
+s - 1 of a mask stands for the generator subset s, so a family is one int.
+Join, meet and imp come from that order by Birkhoff's theorem, through the
+builder the factors use (``algebra._from_order``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import TableAlgebra, bn
-from .algebra import AlgebraMap, _index_of_masks, _position_tables, is_b_homomorphism
+from .algebra import AlgebraMap, _from_order, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
 FREE_CAP = 5
@@ -181,46 +182,20 @@ def _up(g, shifts):
     return g
 
 
-def _minimal(g, shifts):
-    """The inclusion-minimal members (``_prune`` on masks): a member goes
-    when it is one generator more than some superset of a member."""
-    up = _up(g, shifts)
-    above = 0
-    for keep, shift in shifts:
-        above = above | (up & keep) << shift
-    return g & ~above
-
-
 @lru_cache(maxsize=None)
 def free_algebra(n: int) -> tuple[TableAlgebra, tuple[FreeElement, ...]]:
     """Operation tables of the free lattice over its enumerated normal forms.
 
-    On family masks F with U = ``_up``(F): a <= b iff F_a lies inside U_b,
-    a + b = min(F_a | F_b), a x b = min(U_a & U_b), and a -> b = F_b minus
-    U_a, an antichain already.  Each result is numbered by the mask lookup
-    of the algebra module; a result that is no normal form is refused."""
+    On family masks F with U = ``_up``(F), a <= b iff F_a lies inside U_b.
+    Join, meet and imp are built from that order by ``_from_order``, which
+    refuses it when it is not a distributive lattice."""
     _check_generator_count(n, ISO_CAP, "free_algebra")
     elems = free_enumerate(n)
-    shifts = _subset_shifts(n)
     fam = np.array([_family_mask(e) for e in elems], dtype=np.int64)
-    up = _up(fam, shifts)
-    lookup = _position_tables(fam, (1 << n) - 1)
-
-    def number(g: np.ndarray) -> np.ndarray:
-        try:
-            return _index_of_masks(lookup, g)
-        except InputError:
-            raise MedlatError(f"free:{n} table entry is not a normal form") from None
-
-    alg = TableAlgebra(
-        (fam[:, None] & ~up[None, :]) == 0,
-        number(_minimal(fam[:, None] | fam[None, :], shifts)),
-        number(_minimal(up[:, None] & up[None, :], shifts)),
-        number(fam[None, :] & ~up[:, None]),
-        elems.index(bottom(n)), elems.index(top(n)),
-        tuple(render_free(e) for e in elems),
-        f"free:{n}",
-    )
+    up = _up(fam, _subset_shifts(n))
+    alg = _from_order((fam[:, None] & ~up[None, :]) == 0,
+                      elems.index(bottom(n)), elems.index(top(n)),
+                      tuple(render_free(e) for e in elems), f"free:{n}")
     return alg, elems
 
 

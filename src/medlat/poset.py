@@ -155,11 +155,6 @@ def chain_poset(n: int) -> Poset:
     return Poset(leq, tuple(str(i) for i in range(n)), f"chain{n}")
 
 
-def antichain_poset(n: int) -> Poset:
-    _check_poset_size(n)
-    return Poset(np.eye(n, dtype=bool), tuple(str(i) for i in range(n)), f"antichain{n}")
-
-
 def open_sets(p: Poset) -> np.ndarray:
     """Bitmasks of all up-closed subsets of p, ascending, as uint64.
 
@@ -335,10 +330,6 @@ def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray):
         if not tries:
             return
         image[order[len(tries) - 1]] = y
-
-
-def posets_isomorphic(p: Poset, q: Poset) -> bool:
-    return next(order_isomorphisms(p.leq, q.leq), None) is not None
 
 
 def _least_in_orbit(masks: np.ndarray, perms: np.ndarray) -> np.ndarray:

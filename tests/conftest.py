@@ -28,6 +28,11 @@ def fork():
     return make_poset(leq, labels=("r", "a", "b"), name="fork")
 
 
+def antichain_poset(n: int) -> Poset:
+    """n pairwise incomparable elements."""
+    return Poset(np.eye(n, dtype=bool), tuple(map(str, range(n))), f"antichain{n}")
+
+
 def transitive_closure_poset(n: int, edges) -> Poset:
     """Build a poset from acyclic edges (i -> j meaning i <= j), or raise."""
     leq = np.eye(n, dtype=bool)

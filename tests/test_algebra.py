@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env, random_poset
+from conftest import antichain_poset, child_env, random_poset
 from medlat import algebra, kernels, poset
 from medlat.algebra import (
     AlgebraMap,
@@ -27,7 +27,6 @@ from medlat.algebra import (
     irreducibles,
     is_b_homomorphism,
     is_isomorphic,
-    meet_irreducible,
     plus_a_map,
     validate,
 )
@@ -35,7 +34,6 @@ from medlat.errors import InputError, ResourceLimitError
 from medlat.freedist import free_algebra
 from medlat.poset import (
     Poset,
-    antichain_poset,
     cover_matrix,
     enumerate_posets,
     load_poset,
@@ -322,10 +320,10 @@ def test_irreducibles_bn2():
 
 def test_irreducibles_against_oracle():
     for a in (bn(2), bn(3), chain_algebra(5)):
-        joins = irreducibles(a)[1]
+        meets, joins = irreducibles(a)
         for x in range(a.size):
             assert (x in joins) == _irreducible_oracle(a, x, "join")
-            assert meet_irreducible(a, x) == _irreducible_oracle(a, x, "meet")
+            assert (x in meets) == _irreducible_oracle(a, x, "meet")
 
 
 def _irreducible_cases():
@@ -542,10 +540,13 @@ def test_factor_of_an_order_that_is_no_distributive_lattice_is_refused(monkeypat
     """The quotient order must be the up-sets of its join-irreducibles: the
     two non-distributive five-element lattices have too few elements for
     that, and the cut cube has the elements but not the order.  Each is
-    refused before any table."""
+    refused before any table, by the factor and by the builder itself."""
     monkeypatch.setattr("medlat.algebra._up_set_table", _no_tables)
     with pytest.raises(InputError, match="no unique bound"):
         factor_by_principal_filter(_order_by_its_top(leq), len(leq) - 1)
+    labels = tuple(map(str, range(len(leq))))
+    with pytest.raises(InputError, match="not a distributive lattice"):
+        algebra._from_order(leq, 0, len(leq) - 1, labels, "order")
 
 
 def test_factor_with_too_many_join_irreducibles_is_refused(monkeypatch):
@@ -583,6 +584,26 @@ def test_factor_builds_its_tables_once_from_the_class_up_sets(monkeypatch):
             res = factor_by_principal_filter(a, f)
             assert res.degenerate or res.iso_to_initial_segment is not None
             assert len(calls) == 1
+
+
+def _builder_cases():
+    yield from (bn(n) for n in range(1, 5))
+    yield from (chain_algebra(m) for m in range(2, 7))
+    for n in range(1, 6):
+        yield from (from_poset(p) for p in enumerate_posets(n))
+
+
+def test_the_builder_gives_the_tables_of_the_order():
+    """An algebra's order alone gives back its four tables: bn(1..4),
+    the chains with 2 to 6 elements and the algebra of every poset with at
+    most 5 elements."""
+    for a in _builder_cases():
+        b = algebra._from_order(a.leq, a.bottom, a.top, a.labels, a.provenance)
+        assert isinstance(b, TableAlgebra)
+        for name in TABLES:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (a.provenance, name)
+        assert (b.bottom, b.top, b.labels) == (a.bottom, a.top, a.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +850,13 @@ def test_isomorphism_search_needs_no_canonical_form(monkeypatch):
     leq[0, 1] = True  # one comparable pair, so the relabelling is not the identity
     p = Poset(leq, tuple(map(str, range(12))))
     q = Poset(leq[np.ix_(perm, perm)], p.labels)
+    def isomorphic(p, q):
+        return next(poset.order_isomorphisms(p.leq, q.leq), None) is not None
+
     for n in (12, 20):  # one colour class of n! relabelings
-        assert poset.posets_isomorphic(antichain_poset(n), antichain_poset(n))
-    assert poset.posets_isomorphic(p, q)
-    assert not poset.posets_isomorphic(p, antichain_poset(12))
+        assert isomorphic(antichain_poset(n), antichain_poset(n))
+    assert isomorphic(p, q)
+    assert not isomorphic(p, antichain_poset(12))
     assert is_isomorphic(bn(3), bn(3)) is not None
 
 
@@ -846,7 +870,7 @@ def test_all_negations_meet_irreducible():
     bad = from_poset(antichain_poset(2))
     ok, witness = all_negations_meet_irreducible(bad)
     assert not ok
-    assert not meet_irreducible(bad, bad.imp[witness, bad.top])
+    assert bad.imp[witness, bad.top] not in irreducibles(bad)[0]
 
 
 def test_all_negations_meet_irreducible_gives_the_least_witness():

@@ -488,6 +488,22 @@ def test_verify_arrow_reports_a_broken_implication(capsys, monkeypatch):
     assert "fails to preserve imp" in out
 
 
+def test_verify_all_runs_the_iso_suite_once(capsys, monkeypatch):
+    """arrow is another name for the iso suite: ``verify all`` runs it once
+    (iso_to_bn on n = 1..4) and prints its line under both names."""
+    calls = []
+    real = medlat.freedist.iso_to_bn
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr("medlat.freedist.iso_to_bn", counting)
+    rc, out, _ = run(capsys, "verify", "all", "--max-poset", "4")
+    assert rc == 0 and calls == [1, 2, 3, 4]
+    assert "suite arrow: PASS (0 failures)" in out and "suite iso: PASS (0 failures)" in out
+
+
 def test_verify_kp_stops_at_poset_size_6(capsys):
     """At 7 elements B(P7.1924) has only meet-irreducible negations and
     refutes KP, so the suite refuses the bound instead of failing."""

@@ -6,7 +6,7 @@ import pytest
 
 from medlat.algebra import is_b_homomorphism, validate
 from medlat import freedist
-from medlat.errors import InputError, MedlatError, ResourceLimitError
+from medlat.errors import InputError, ResourceLimitError
 from medlat.freedist import (
     bottom,
     free_algebra,
@@ -191,12 +191,14 @@ def test_bitmask_tables_match_the_operations_on_sampled_pairs():
     _assert_tables_match_operations(4, rng.integers(0, m, size=(3000, 2)).tolist())
 
 
-def test_a_result_that_is_no_normal_form_is_refused(monkeypatch):
-    """Without the pruning to minimal components a join is a family with
-    comparable members, which the mask lookup does not find."""
-    monkeypatch.setattr(freedist, "_minimal", lambda g, shifts: g)
-    with pytest.raises(MedlatError, match="not a normal form"):
-        free_algebra.__wrapped__(2)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_an_order_that_is_no_distributive_lattice_is_refused(monkeypatch, n):
+    """Without the up-closure, a <= b reads as inclusion of the families.
+    That order has no greatest element (for n = 2, {a0*a1} and {a0, a1}
+    are both maximal), and the table builder refuses it."""
+    monkeypatch.setattr(freedist, "_up", lambda g, shifts: g)
+    with pytest.raises(InputError, match="not a distributive lattice"):
+        free_algebra.__wrapped__(n)
 
 
 @pytest.mark.parametrize("f", [free_enumerate, free_algebra, iso_to_bn])

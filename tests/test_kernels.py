@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clause_formula, random_poset
+from conftest import antichain_poset, clause_formula, random_poset
 from medlat import kernels
 from medlat.algebra import bn, chain_algebra, from_poset
 from medlat.logic import (
@@ -29,7 +29,7 @@ from medlat.logic import (
     render,
     variables,
 )
-from medlat.poset import antichain_poset, chain_poset, make_poset, open_sets
+from medlat.poset import chain_poset, make_poset, open_sets
 
 
 def _programs():

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_formula
+from conftest import antichain_poset, random_formula
 from medlat import algebra, kernels
 from medlat.algebra import (
     TableAlgebra,
@@ -36,7 +36,6 @@ from medlat.logic import (
     variables,
 )
 from medlat.poset import (
-    antichain_poset,
     chain_poset,
     enumerate_posets,
     load_poset,
