@@ -3,16 +3,19 @@
 A Brouwer algebra here is a bounded distributive lattice with the
 co-implication  a -> b = min{c : a + c >= b}  (order-dual of a Heyting
 algebra); the *least* element is the designated truth value.  A
-``TableAlgebra`` (``from_tables``, the free algebras, intervals, factors)
-holds its four tables (order, join, meet, implication) as m x m arrays.  An
-``UpSetAlgebra`` (``from_poset``, and so ``bn`` and ``chain_algebra``) holds
-a poset and its up-set masks, and builds each table, its element labels and
-its lifted automorphisms only when first read: scans, ``eval_formula`` and
-negations compute on the masks (``operations``), order questions
-(irreducibles, widths, DOT export) read ``leq`` alone, and intervals,
-factors and JSON the others.  Labels are read by what prints or names an
-element; the automorphisms by the join, meet and imp builds and by scans
-with a leading variable (see ``kernels``).
+``TableAlgebra`` (``from_tables`` and intervals) holds its four tables
+(order, join, meet, implication) as m x m arrays.  An ``UpSetAlgebra``
+holds a poset and its up-set masks: ``from_poset`` (and so ``bn`` and
+``chain_algebra``) lists them by ascending mask, and ``_from_order`` (the
+free algebras and the factors) in the numbering of the order it is given.
+An up-set algebra builds each table, its element labels (unless its
+builder gives them) and its lifted automorphisms only when first read:
+scans, ``eval_formula`` and negations compute on the masks
+(``operations``), order questions (irreducibles, widths, DOT export) read
+``leq`` alone, a factor reads its base's masks and ``leq``, and intervals,
+isomorphism checks and JSON read the other tables.  Labels are read by
+what prints or names an element; the automorphisms by the join, meet and
+imp builds and by scans with a leading variable (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -108,13 +111,17 @@ class TableAlgebra(BrouwerAlgebra):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class UpSetAlgebra(BrouwerAlgebra):
-    """The up-sets of poset, element i being open_masks[i].  Each table,
-    the labels and the automorphisms are built on first read, that one
-    alone, and kept in the instance ``__dict__``."""
+    """The up-sets of poset, element i being open_masks[i], in any order:
+    bottom is the element of the whole carrier and top that of the empty
+    set.  Each table, the labels (unless given) and the automorphisms are
+    built on first read, that one alone, and kept in the instance
+    ``__dict__``."""
     poset: Poset
-    open_masks: np.ndarray  # uint64 per element, ascending
+    open_masks: np.ndarray  # uint64 per element
+    bottom: int
+    top: int
     provenance: str
-    top = 0  # the empty up-set
+    given_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         """Refuses more than MAX_ALGEBRA_SIZE elements, and automorphisms of
@@ -139,10 +146,6 @@ class UpSetAlgebra(BrouwerAlgebra):
     def size(self) -> int:
         return len(self.open_masks)
 
-    @property
-    def bottom(self) -> int:
-        return self.size - 1  # the whole carrier
-
     @cached_property
     def leq(self) -> np.ndarray:
         return _up_set_table("leq", self.poset, self.open_masks)
@@ -161,7 +164,9 @@ class UpSetAlgebra(BrouwerAlgebra):
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """Each up-set as the set of its poset labels."""
+        """The given labels, else each up-set as the set of its poset labels."""
+        if self.given_labels is not None:
+            return self.given_labels
         p = self.poset
         return tuple("{" + ",".join(p.labels[i] for i in range(p.size) if u >> i & 1) + "}"
                      for u in self.open_masks.tolist())
@@ -175,7 +180,8 @@ class UpSetAlgebra(BrouwerAlgebra):
     @cached_property
     def operations(self) -> kernels.Operations:
         """Mask operations, which build no table."""
-        return kernels.mask_operations(self.open_masks, self.poset.down_masks)
+        return kernels.mask_operations(self.open_masks, self.poset.down_masks,
+                                       self.bottom, self.top)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +310,12 @@ def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndar
 
 def from_poset(p: Poset, provenance: str | None = None) -> UpSetAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
-    and numbered by ascending mask: bottom = whole carrier, top = empty set;
-    its provenance is ``B(name of p)`` unless given.  When p carries
-    automorphisms, join, meet and imp are built one row per orbit."""
-    return UpSetAlgebra(p, open_sets(p), provenance or f"B({p.name})")
+    and numbered by ascending mask: bottom = whole carrier (the last), top =
+    empty set (the first); its provenance is ``B(name of p)`` unless given.
+    When p carries automorphisms, join, meet and imp are built one row per
+    orbit."""
+    masks = open_sets(p)
+    return UpSetAlgebra(p, masks, len(masks) - 1, 0, provenance or f"B({p.name})")
 
 
 def from_tables(leq, join, meet, imp, bottom, top, labels=None,
@@ -324,16 +332,16 @@ def from_tables(leq, join, meet, imp, bottom, top, labels=None,
 
 
 def _from_order(leq: np.ndarray, bottom: int, top: int, labels: tuple[str, ...],
-                provenance: str) -> TableAlgebra:
-    """The algebra whose order is leq, with its join, meet and imp tables
-    built from that order alone.
+                provenance: str) -> UpSetAlgebra:
+    """The algebra whose order is leq, as the up-sets of its
+    join-irreducibles, numbered as leq's rows and labelled by labels.
 
     A finite distributive lattice is the algebra of up-sets of its
     join-irreducibles J (Birkhoff): each element x becomes the up-set of the
-    members of J not below it, and the tables are built on those up-sets,
-    in the order of leq's rows.  Before any table, the order is refused when
-    J has more than ``MAX_POSET_SIZE`` elements, and when it is not a
-    distributive lattice."""
+    members of J not below it.  The order is refused when J has more than
+    ``MAX_POSET_SIZE`` elements, and when it is not a distributive lattice.
+    No table is built here: the algebra builds each on first read, from
+    the up-sets, and its leq is then leq again."""
     k = len(leq)
     ji = np.flatnonzero(single_covers(leq)[0])  # one lower cover
     if len(ji) > MAX_POSET_SIZE:
@@ -349,9 +357,7 @@ def _from_order(leq: np.ndarray, bottom: int, top: int, labels: tuple[str, ...],
             and np.array_equal(np.sort(ups), open_sets(j_poset))):
         raise InputError(f"the order of {provenance} has no unique bound "
                          "(not a distributive lattice)")
-    # The order of the up-sets ups is leq, as checked above.
-    join, meet, imp = (_up_set_table(t, j_poset, ups) for t in ("join", "meet", "imp"))
-    return TableAlgebra(leq, join, meet, imp, bottom, top, labels, provenance)
+    return UpSetAlgebra(j_poset, ups, bottom, top, provenance, labels)
 
 
 @lru_cache(maxsize=None)
@@ -499,7 +505,17 @@ class FactorResult:
     class_of: np.ndarray          # element index -> class index
     representatives: tuple[int, ...]
     degenerate: bool
-    iso_to_initial_segment: "AlgebraMap | None"
+    base: BrouwerAlgebra
+    f: int
+
+    @cached_property
+    def iso_to_initial_segment(self) -> AlgebraMap | None:
+        """[b] |-> b x f onto the initial segment [0, f] of the base, when it
+        is a bijective B-homomorphism, else None (and None when degenerate).
+        It copies [0, f] from the base's tables and reads the factor's."""
+        if self.degenerate:
+            return None
+        return _factor_map(self.base, self.f, self.algebra, list(self.representatives))
 
 
 def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
@@ -508,23 +524,24 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     pair, and the classes are the values of b x f, numbered in order of
     first occurrence.
 
-    The tables come from the quotient order alone (``_from_order``; they
-    are not transported), so the map [b] |-> b x f onto the initial segment
-    [0, f] is checked, as an independent test, to be a bijective
-    B-homomorphism.
+    The base is read through its operations (on the masks of an up-set
+    algebra) and its order alone.  The factor is the up-set algebra of the
+    quotient order (``_from_order``; its operations are not transported),
+    so the map [b] |-> b x f onto [0, f], read on first use, is an
+    independent test that it is the initial segment.
     """
     f = a.check_element(f)
-    _, first, value_class = np.unique(a.meet[:, f], return_index=True, return_inverse=True)
+    ops = a.operations
+    meets = ops.element(ops.meet(ops.value(np.arange(a.size)), ops.value(f)))  # b x f
+    _, first, value_class = np.unique(meets, return_index=True, return_inverse=True)
     order = np.argsort(first)  # the values of b x f by first occurrence
     reps = first[order]
     class_of = np.argsort(order).astype(np.int32)[value_class]
-    k = len(reps)
-    leq_q = a.leq[a.meet[reps, f]][:, reps]
+    leq_q = a.leq[np.ix_(meets[reps], reps)]
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
     alg = _from_order(leq_q, int(class_of[a.bottom]), int(class_of[a.top]), labels,
                       f"factor({a.provenance},{f})")
-    iso = _factor_map(a, f, alg, reps) if k > 1 else None
-    return FactorResult(alg, class_of, tuple(reps.tolist()), k == 1, iso)
+    return FactorResult(alg, class_of, tuple(reps.tolist()), len(reps) == 1, a, f)
 
 
 def _factor_map(a: BrouwerAlgebra, f: int, factor: BrouwerAlgebra,

@@ -8,10 +8,11 @@ Implication keeps exactly the components of the right-hand side that do
 not sit below the left-hand side.
 
 The operations on ``FreeElement`` work one pair at a time and are the
-reference.  ``free_algebra`` builds only its order, on family masks: bit
+reference.  ``free_algebra`` computes only its order, on family masks: bit
 s - 1 of a mask stands for the generator subset s, so a family is one int.
-Join, meet and imp come from that order by Birkhoff's theorem, through the
-builder the factors use (``algebra._from_order``).
+By Birkhoff's theorem that order gives the algebra as the up-sets of its
+join-irreducibles, through the builder the factors use
+(``algebra._from_order``), numbered as the normal forms are enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import TableAlgebra, bn
+from .algebra import UpSetAlgebra, bn
 from .algebra import AlgebraMap, _from_order, _index_of_masks, _position_tables, is_b_homomorphism
 from .errors import InputError, MedlatError, ResourceLimitError
 
@@ -183,12 +184,13 @@ def _up(g, shifts):
 
 
 @lru_cache(maxsize=None)
-def free_algebra(n: int) -> tuple[TableAlgebra, tuple[FreeElement, ...]]:
-    """Operation tables of the free lattice over its enumerated normal forms.
+def free_algebra(n: int) -> tuple[UpSetAlgebra, tuple[FreeElement, ...]]:
+    """The free lattice as an up-set algebra, element i being the i-th
+    enumerated normal form, labelled by its rendering.
 
     On family masks F with U = ``_up``(F), a <= b iff F_a lies inside U_b.
-    Join, meet and imp are built from that order by ``_from_order``, which
-    refuses it when it is not a distributive lattice."""
+    ``_from_order`` makes the algebra from that order, and refuses it when
+    it is not a distributive lattice; the tables are built on first read."""
     _check_generator_count(n, ISO_CAP, "free_algebra")
     elems = free_enumerate(n)
     fam = np.array([_family_mask(e) for e in elems], dtype=np.int64)

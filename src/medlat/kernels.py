@@ -24,8 +24,9 @@ which no promotion rule can narrow.  On the up-set masks of a poset
 mask in the narrowest unsigned dtype that holds the poset, join is ``&``,
 meet is ``|``, and ``U -> V = P \\ down(U \\ V)`` is one lookup per 16 bits of
 ``U & ~V`` in a complemented down-closure table (``imp_luts``, read by
-``imp_lookup``).  An element is the rank of its mask, so both kinds number
-the elements alike.
+``imp_lookup``).  The masks may be listed in any order: an element is found
+from its mask by the mask's rank among them, so both kinds number the
+elements alike.
 
 ``_run`` is the one interpreter, and ``evaluate`` its public form.  Its
 leaves are one value array per variable, and the arrays broadcast against
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,15 +155,25 @@ class Operations:
         return x if self.values is None else self.values.take(x)
 
     def element(self, v):
-        """The element of value v: on masks, the rank of the mask."""
-        return v if self.values is None else self.values.searchsorted(v)
+        """The element of value v: on masks, the one whose mask has v's rank."""
+        if self.values is None:
+            return v
+        ranked, order = self._ranks
+        return order.take(ranked.searchsorted(v))
+
+    @cached_property
+    def _ranks(self):
+        """The values in ascending order, and the element of each."""
+        order = np.argsort(self.values)
+        return self.values.take(order), order
 
 
-def mask_operations(masks, down_masks) -> Operations:
+def mask_operations(masks, down_masks, bottom: int, top: int) -> Operations:
     """The operations of the algebra of all up-sets of a poset, on their
-    masks: masks lists them in ascending order, down_masks holds the
-    poset's principal down-sets.  The values are copies of the masks in the
-    narrowest unsigned dtype that holds the poset's bits."""
+    masks: masks lists them in any order, down_masks holds the poset's
+    principal down-sets, and bottom and top are the elements of the whole
+    carrier and of the empty set.  The values are copies of the masks in
+    the narrowest unsigned dtype that holds the poset's bits."""
     dtype = np.min_scalar_type((1 << len(down_masks)) - 1)
     values = masks.astype(dtype)
     luts = imp_luts(down_masks, dtype)
@@ -169,7 +181,7 @@ def mask_operations(masks, down_masks) -> Operations:
     def imp(u, v):
         return imp_lookup(u & ~v, luts)
 
-    return Operations(np.bitwise_and, np.bitwise_or, imp, values[-1], values[0], values)
+    return Operations(np.bitwise_and, np.bitwise_or, imp, values[bottom], values[top], values)
 
 
 def _run(steps, vals, ops):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import antichain_poset, child_env, random_poset
-from medlat import algebra, kernels, poset
+from medlat import algebra, cli, kernels, poset
 from medlat.algebra import (
     AlgebraMap,
     TableAlgebra,
+    UpSetAlgebra,
     algebra_to_dict,
     algebra_to_dot,
     algebra_to_json,
@@ -414,6 +415,27 @@ def test_factor_map_that_is_no_homomorphism_is_refused():
     assert factor_by_principal_filter(wrong, wrong.top).iso_to_initial_segment is None
 
 
+def test_a_factor_builds_no_table_until_one_is_read(monkeypatch):
+    """A factor reads its base through the base's operations and order,
+    and checks its map onto [0, f] only when the map is read: a fresh base
+    keeps its join, meet and imp unbuilt, the factor holds no table, and
+    the map read afterwards is a bijective B-homomorphism.  So a factor
+    spec, and free:3, resolve without interval or is_b_homomorphism and
+    hold no table."""
+    base = from_poset(powerset_poset(4))
+    res = factor_by_principal_filter(base, 40)
+    assert not {"join", "meet", "imp"} & vars(base).keys()
+    assert not {"leq", "join", "meet", "imp"} & vars(res.algebra).keys()
+    iso = res.iso_to_initial_segment
+    assert iso is not None and iso.is_bijective() and is_b_homomorphism(iso) == (True, None)
+    monkeypatch.setattr("medlat.algebra.interval", _no_tables)
+    monkeypatch.setattr("medlat.algebra.is_b_homomorphism", _no_tables)
+    monkeypatch.setattr("medlat.freedist.free_algebra", free_algebra.__wrapped__)  # uncached
+    for spec in ("factor:bn:3,5", "free:3"):
+        a = cli.resolve_algebra(spec)
+        assert not {"leq", "join", "meet", "imp"} & vars(a).keys(), spec
+
+
 def test_factor_class_structure():
     a = bn(3)
     res = factor_by_principal_filter(a, 5)
@@ -599,7 +621,7 @@ def test_the_builder_gives_the_tables_of_the_order():
     most 5 elements."""
     for a in _builder_cases():
         b = algebra._from_order(a.leq, a.bottom, a.top, a.labels, a.provenance)
-        assert isinstance(b, TableAlgebra)
+        assert isinstance(b, UpSetAlgebra)
         for name in TABLES:
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), (a.provenance, name)

@@ -305,7 +305,10 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
 # The exit code and the sha256 of stdout of each argv, one per kind of
 # algebra spec (up-set, free, interval, factor and their nesting) and per
 # command that prints one, as first recorded before the table algebras and
-# the up-set algebras became two classes.
+# the up-set algebras became two classes.  The last five, recorded before
+# free:n and the factors became up-set algebras, print countermodels and
+# labels in an order's own numbering, tables built on first read, and an
+# interval of free:n.
 _PINNED = {
     ("report", "--algebra", "bn:4", "--json"):
         (0, "07f0a2a2a8a0f6992d1758b8f20c1ab89d362e2d2e64d6c73bacdf88502493ad"),
@@ -341,6 +344,16 @@ _PINNED = {
         (0, "1359a40165afa1eefdc8efaba29c23ddcdb9ab2bfd35d2d8955286e20ec311be"),
     ("verify", "factor"):
         (0, "24128880465c956e511f85d489fbd230b1d61f2094354ee9cf54af049a8d0b46"),
+    ("check", "(p -> q) | (q -> p)", "--algebra", "factor:bn:4,40"):
+        (1, "6e4c87a64d880ee9f96bfac6ca6865a66d71dba3798ebfb59a02ff23671f7064"),
+    ("report", "--json", "--algebra", "free:4"):
+        (0, "6a18388ebcb7f45bec75a720047de7459a1e80c1a5d312f69a3e7b6c89840241"),
+    ("export", "--algebra", "free:2"):
+        (0, "5c5c02315ed27c793f25e229e9215d94b921ddf07b86aec748213656bc2872d1"),
+    ("export", "--dot", "--algebra", "factor:bn:4,0"):
+        (0, "ed5a487e8d0715755764aa4648997979d63f98b3bcf49271ac2e8a07b16d19b8"),
+    ("check", "~p | ~~p", "--algebra", "interval:free:4,0,100"):
+        (1, "3bd0de261fc7aac40c580a0e7ac8d0438a1c51135bbada721c136489c818968d"),
 }
 
 

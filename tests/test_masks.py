@@ -1,10 +1,11 @@
 """The up-set mask path of poset-backed algebras against the table path.
 
-A poset-backed algebra (``from_poset``, ``bn``, ``chain_algebra``) scans
-and evaluates on its up-set masks, and builds each of its four tables only
-when that table is read.  A table copy of it has no poset, so it computes
-on the tables: the two must give the same answers, and the scans must
-leave the poset-backed algebra's tables unbuilt.
+A poset-backed algebra (``from_poset``, ``bn``, ``chain_algebra``, and the
+free algebras and factors, whose masks are in the numbering of their
+order) scans and evaluates on its up-set masks, and builds each of its four
+tables only when that table is read.  A table copy of it has no poset, so
+it computes on the tables: the two must give the same answers, and the
+scans must leave the poset-backed algebra's tables unbuilt.
 """
 
 import json
@@ -22,11 +23,14 @@ from medlat.algebra import (
     all_negations_meet_irreducible,
     bn,
     chain_algebra,
+    factor_by_principal_filter,
     from_poset,
     from_tables,
     irreducibles,
+    validate,
 )
 from medlat.cli import main
+from medlat.freedist import free_algebra
 from medlat.logic import (
     axiom,
     countermodel_search,
@@ -74,10 +78,14 @@ def answer(rep):
 
 
 def small_poset_algebras():
-    """bn(1..4), the chains of 1 and 2 elements, and B(P) for every poset
-    with at most 5 elements."""
+    """bn(1..4), the chains of 1 and 2 elements, B(P) for every poset with
+    at most 5 elements, free:1..4, and every principal factor of bn(1..3)
+    and of free:3, whose masks are in the numbering of their order."""
     out = [bn(n) for n in range(1, 5)] + [chain_algebra(1), chain_algebra(2)]
-    return out + [from_poset(p) for n in range(1, 6) for p in enumerate_posets(n)]
+    out += [from_poset(p) for n in range(1, 6) for p in enumerate_posets(n)]
+    out += [free_algebra(n)[0] for n in range(1, 5)]
+    bases = [bn(n) for n in range(1, 4)] + [free_algebra(3)[0]]
+    return out + [factor_by_principal_filter(b, f).algebra for b in bases for f in range(b.size)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -123,23 +131,33 @@ def test_one_variable_axioms_on_bn5_match_the_tables():
         assert answer(is_valid(f, a)) == answer(is_valid(f, t)), name
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "free:3", "factor:bn:3,5"])
 def test_scans_build_no_tables(n):
     """is_valid, exhaustive and sampled, and eval_formula leave the tables
-    of a fresh bn(n) unbuilt; read afterwards, they are bn(n)'s frozen ones."""
-    a = from_poset(powerset_poset(n), provenance=f"bn:{n}")
+    of a fresh bn(n), free:3 and factor of bn(3) by 5 unbuilt.  Read
+    afterwards, bn(n)'s and free:3's are their frozen ones, and the
+    factor's are valid and carry the map onto [0, 5]."""
+    if n == "free:3":
+        a, frozen = free_algebra.__wrapped__(3)[0], free_algebra(3)[0]
+    elif n == "factor:bn:3,5":
+        res = factor_by_principal_filter(bn(3), 5)
+        a, frozen = res.algebra, None
+    else:
+        a, frozen = from_poset(powerset_poset(n), provenance=f"bn:{n}"), bn(n)
     assert unbuilt(a)
-    for f in seeded_formulas(n, 6):
+    for f in seeded_formulas(n, 6):  # a str seeds random.Random too
         is_valid(f, a, budget=10**9)
         is_valid(f, a, budget=50, sample_seed=1)
         eval_formula(f, a, dict.fromkeys(NAMES, a.size // 2))
     assert unbuilt(a)
     assert a.open_masks.dtype == np.uint64
     assert np.array_equal(a.operations.values, a.open_masks)
-    frozen = bn(n)
+    if frozen is None:
+        assert validate(a) == [] and res.iso_to_initial_segment is not None
+        return
     for name in TABLES + ("open_masks", "automorphisms"):
         x, y = getattr(a, name), getattr(frozen, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert x is y is None or x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def test_bn5_is_scanned_without_its_tables():
@@ -274,7 +292,7 @@ def test_mask_operations_match_the_byte_tables(p):
     up-sets (the first 300 of them), in a dtype that holds the poset: the
     implication U -> V = {x : [x) & U <= V} is built one bit x at a time."""
     masks = open_sets(p)[:300]
-    ops = kernels.mask_operations(masks, p.down_masks)
+    ops = kernels.mask_operations(masks, p.down_masks, len(masks) - 1, 0)
     assert ops.values.dtype.itemsize * 8 >= p.size
     u, v = ops.values[:, None], ops.values[None, :]
     outside = masks[:, None] & ~masks[None, :]  # U \ V
@@ -285,3 +303,9 @@ def test_mask_operations_match_the_byte_tables(p):
     assert np.array_equal(ops.join(u, v).astype(np.uint64), masks[:, None] & masks[None, :])
     assert np.array_equal(ops.meet(u, v).astype(np.uint64), masks[:, None] | masks[None, :])
     assert ops.element(ops.values[::-1]).tolist() == list(range(len(masks)))[::-1]
+    # the same up-sets listed in a shuffled order, as a factor or free:n lists them
+    shuffled = masks[np.random.default_rng(p.size).permutation(len(masks))]
+    ops = kernels.mask_operations(shuffled, p.down_masks, int(shuffled.argmax()), int(shuffled.argmin()))
+    ar = np.arange(len(masks))
+    assert ops.element(ops.value(ar)).tolist() == ar.tolist()
+    assert ops.element(ops.value(ar[::-1])).tolist() == ar[::-1].tolist()
