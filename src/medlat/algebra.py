@@ -113,13 +113,11 @@ class TableAlgebra(BrouwerAlgebra):
 class UpSetAlgebra(BrouwerAlgebra):
     """The up-sets of poset, element i being open_masks[i], in any order:
     bottom is the element of the whole carrier and top that of the empty
-    set.  Each table, the labels (unless given) and the automorphisms are
-    built on first read, that one alone, and kept in the instance
-    ``__dict__``."""
+    set.  Each table, the labels (unless given), the automorphisms and the
+    bounds are built on first read, that one alone, and kept in the
+    instance ``__dict__``."""
     poset: Poset
     open_masks: np.ndarray  # uint64 per element
-    bottom: int
-    top: int
     provenance: str
     given_labels: tuple[str, ...] | None = None
 
@@ -145,6 +143,14 @@ class UpSetAlgebra(BrouwerAlgebra):
     @property
     def size(self) -> int:
         return len(self.open_masks)
+
+    @cached_property
+    def bottom(self) -> int:
+        return int(self.open_masks.argmax())  # the whole carrier
+
+    @cached_property
+    def top(self) -> int:
+        return int(self.open_masks.argmin())  # the empty set
 
     @cached_property
     def leq(self) -> np.ndarray:
@@ -180,8 +186,7 @@ class UpSetAlgebra(BrouwerAlgebra):
     @cached_property
     def operations(self) -> kernels.Operations:
         """Mask operations, which build no table."""
-        return kernels.mask_operations(self.open_masks, self.poset.down_masks,
-                                       self.bottom, self.top)
+        return kernels.mask_operations(self.open_masks, self.poset.down_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +315,10 @@ def _up_set_table(name: str, p: Poset, masks: np.ndarray, automorphisms: np.ndar
 
 def from_poset(p: Poset, provenance: str | None = None) -> UpSetAlgebra:
     """The algebra of up-closed subsets of p, ordered by reverse inclusion
-    and numbered by ascending mask: bottom = whole carrier (the last), top =
-    empty set (the first); its provenance is ``B(name of p)`` unless given.
-    When p carries automorphisms, join, meet and imp are built one row per
-    orbit."""
-    masks = open_sets(p)
-    return UpSetAlgebra(p, masks, len(masks) - 1, 0, provenance or f"B({p.name})")
+    and numbered by ascending mask: bottom = whole carrier, top = empty set;
+    its provenance is ``B(name of p)`` unless given.  When p carries
+    automorphisms, join, meet and imp are built one row per orbit."""
+    return UpSetAlgebra(p, open_sets(p), provenance or f"B({p.name})")
 
 
 def from_tables(leq, join, meet, imp, bottom, top, labels=None,
@@ -331,8 +334,7 @@ def from_tables(leq, join, meet, imp, bottom, top, labels=None,
     return TableAlgebra(leq, join, meet, imp, int(bottom), int(top), tuple(labels), provenance)
 
 
-def _from_order(leq: np.ndarray, bottom: int, top: int, labels: tuple[str, ...],
-                provenance: str) -> UpSetAlgebra:
+def _from_order(leq: np.ndarray, labels: tuple[str, ...], provenance: str) -> UpSetAlgebra:
     """The algebra whose order is leq, as the up-sets of its
     join-irreducibles, numbered as leq's rows and labelled by labels.
 
@@ -357,7 +359,7 @@ def _from_order(leq: np.ndarray, bottom: int, top: int, labels: tuple[str, ...],
             and np.array_equal(np.sort(ups), open_sets(j_poset))):
         raise InputError(f"the order of {provenance} has no unique bound "
                          "(not a distributive lattice)")
-    return UpSetAlgebra(j_poset, ups, bottom, top, provenance, labels)
+    return UpSetAlgebra(j_poset, ups, provenance, labels)
 
 
 @lru_cache(maxsize=None)
@@ -539,8 +541,7 @@ def factor_by_principal_filter(a: BrouwerAlgebra, f: int) -> FactorResult:
     class_of = np.argsort(order).astype(np.int32)[value_class]
     leq_q = a.leq[np.ix_(meets[reps], reps)]
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
-    alg = _from_order(leq_q, int(class_of[a.bottom]), int(class_of[a.top]), labels,
-                      f"factor({a.provenance},{f})")
+    alg = _from_order(leq_q, labels, f"factor({a.provenance},{f})")
     return FactorResult(alg, class_of, tuple(reps.tolist()), len(reps) == 1, a, f)
 
 

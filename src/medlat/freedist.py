@@ -196,7 +196,6 @@ def free_algebra(n: int) -> tuple[UpSetAlgebra, tuple[FreeElement, ...]]:
     fam = np.array([_family_mask(e) for e in elems], dtype=np.int64)
     up = _up(fam, _subset_shifts(n))
     alg = _from_order((fam[:, None] & ~up[None, :]) == 0,
-                      elems.index(bottom(n)), elems.index(top(n)),
                       tuple(render_free(e) for e in elems), f"free:{n}")
     return alg, elems
 

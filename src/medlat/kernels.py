@@ -168,20 +168,21 @@ class Operations:
         return self.values.take(order), order
 
 
-def mask_operations(masks, down_masks, bottom: int, top: int) -> Operations:
+def mask_operations(masks, down_masks) -> Operations:
     """The operations of the algebra of all up-sets of a poset, on their
-    masks: masks lists them in any order, down_masks holds the poset's
-    principal down-sets, and bottom and top are the elements of the whole
-    carrier and of the empty set.  The values are copies of the masks in
-    the narrowest unsigned dtype that holds the poset's bits."""
-    dtype = np.min_scalar_type((1 << len(down_masks)) - 1)
+    masks: masks lists them in any order, and down_masks holds the poset's
+    principal down-sets.  The bottom is the whole carrier and the top the
+    empty set.  The values are copies of the masks in the narrowest
+    unsigned dtype that holds the poset's bits."""
+    full = (1 << len(down_masks)) - 1
+    dtype = np.min_scalar_type(full)
     values = masks.astype(dtype)
     luts = imp_luts(down_masks, dtype)
 
     def imp(u, v):
         return imp_lookup(u & ~v, luts)
 
-    return Operations(np.bitwise_and, np.bitwise_or, imp, values[bottom], values[top], values)
+    return Operations(np.bitwise_and, np.bitwise_or, imp, dtype.type(full), dtype.type(0), values)
 
 
 def _run(steps, vals, ops):

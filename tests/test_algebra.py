@@ -568,7 +568,7 @@ def test_factor_of_an_order_that_is_no_distributive_lattice_is_refused(monkeypat
         factor_by_principal_filter(_order_by_its_top(leq), len(leq) - 1)
     labels = tuple(map(str, range(len(leq))))
     with pytest.raises(InputError, match="not a distributive lattice"):
-        algebra._from_order(leq, 0, len(leq) - 1, labels, "order")
+        algebra._from_order(leq, labels, "order")
 
 
 def test_factor_with_too_many_join_irreducibles_is_refused(monkeypatch):
@@ -620,7 +620,7 @@ def test_the_builder_gives_the_tables_of_the_order():
     the chains with 2 to 6 elements and the algebra of every poset with at
     most 5 elements."""
     for a in _builder_cases():
-        b = algebra._from_order(a.leq, a.bottom, a.top, a.labels, a.provenance)
+        b = algebra._from_order(a.leq, a.labels, a.provenance)
         assert isinstance(b, UpSetAlgebra)
         for name in TABLES:
             x, y = getattr(a, name), getattr(b, name)

@@ -292,7 +292,7 @@ def test_mask_operations_match_the_byte_tables(p):
     up-sets (the first 300 of them), in a dtype that holds the poset: the
     implication U -> V = {x : [x) & U <= V} is built one bit x at a time."""
     masks = open_sets(p)[:300]
-    ops = kernels.mask_operations(masks, p.down_masks, len(masks) - 1, 0)
+    ops = kernels.mask_operations(masks, p.down_masks)
     assert ops.values.dtype.itemsize * 8 >= p.size
     u, v = ops.values[:, None], ops.values[None, :]
     outside = masks[:, None] & ~masks[None, :]  # U \ V
@@ -305,7 +305,8 @@ def test_mask_operations_match_the_byte_tables(p):
     assert ops.element(ops.values[::-1]).tolist() == list(range(len(masks)))[::-1]
     # the same up-sets listed in a shuffled order, as a factor or free:n lists them
     shuffled = masks[np.random.default_rng(p.size).permutation(len(masks))]
-    ops = kernels.mask_operations(shuffled, p.down_masks, int(shuffled.argmax()), int(shuffled.argmin()))
+    ops = kernels.mask_operations(shuffled, p.down_masks)
+    assert (int(ops.bottom), int(ops.top)) == ((1 << p.size) - 1, 0)
     ar = np.arange(len(masks))
     assert ops.element(ops.value(ar)).tolist() == ar.tolist()
     assert ops.element(ops.value(ar[::-1])).tolist() == ar[::-1].tolist()
