@@ -354,6 +354,13 @@ _PINNED = {
         (0, "ed5a487e8d0715755764aa4648997979d63f98b3bcf49271ac2e8a07b16d19b8"),
     ("check", "~p | ~~p", "--algebra", "interval:free:4,0,100"):
         (1, "3bd0de261fc7aac40c580a0e7ac8d0438a1c51135bbada721c136489c818968d"),
+    # refusal rows print the step count of each axiom's postfix length
+    ("report", "--algebra", "bn:4", "--budget", "1000"):
+        (0, "e6d542dca7ced251a512f03ed345cd8ebc71e08dd621cecda1eed76de2f79e21"),
+    ("report", "--json", "--algebra", "chain:5"):
+        (0, "2bb3bf39eaf8d9629925f3d323efa9ec3fb87f034ea084e502ff31a0f7da8313"),
+    ("report", "--algebra", "interval:bn:3,10,0"):
+        (0, "fe8539b0e1c43a0eb44be9f1b4ce76867c9b6e009158061062e26b2f15802af5"),
 }
 
 
