@@ -8,8 +8,9 @@ algebra); the *least* element is the designated truth value.  A
 holds a poset and its up-set masks: ``from_poset`` (and so ``bn`` and
 ``chain_algebra``) lists them by ascending mask, and ``_from_order`` (the
 free algebras and the factors) in the numbering of the order it is given.
-An up-set algebra builds each table, its element labels (unless its
-builder gives them) and its lifted automorphisms only when first read:
+An up-set algebra builds each table (but the order ``_from_order`` was
+given, which it keeps), its element labels (unless its builder gives
+them) and its lifted automorphisms only when first read:
 scans, ``eval_formula`` and negations compute on the masks
 (``operations``), order questions (irreducibles, widths, DOT export) read
 ``leq`` alone, a factor reads its base's masks and ``leq``, and intervals,
@@ -342,8 +343,9 @@ def _from_order(leq: np.ndarray, labels: tuple[str, ...], provenance: str) -> Up
     join-irreducibles J (Birkhoff): each element x becomes the up-set of the
     members of J not below it.  The order is refused when J has more than
     ``MAX_POSET_SIZE`` elements, and when it is not a distributive lattice.
-    No table is built here: the algebra builds each on first read, from
-    the up-sets, and its leq is then leq again."""
+    That check finds leq to be the order of the up-sets, so the algebra
+    keeps a read-only view of it as its leq; it builds each other table on
+    first read, from the up-sets."""
     k = len(leq)
     ji = np.flatnonzero(single_covers(leq)[0])  # one lower cover
     if len(ji) > MAX_POSET_SIZE:
@@ -359,7 +361,10 @@ def _from_order(leq: np.ndarray, labels: tuple[str, ...], provenance: str) -> Up
             and np.array_equal(np.sort(ups), open_sets(j_poset))):
         raise InputError(f"the order of {provenance} has no unique bound "
                          "(not a distributive lattice)")
-    return UpSetAlgebra(j_poset, ups, provenance, labels)
+    out = UpSetAlgebra(j_poset, ups, provenance, labels)
+    vars(out)["leq"] = leq = leq.view()  # where the cached property keeps it
+    leq.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)

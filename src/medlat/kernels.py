@@ -218,7 +218,7 @@ def _trailing(nvars: int, m: int) -> int:
 
 
 def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
-               automorphisms=None, values=None):
+               automorphisms=None, values=None, programs=None):
     """Least valuation index in [start, stop) where the root of the node list
     does not hit the bottom, the designated element, or -1.
     join, meet and imp are operations or m x m tables; values, when given,
@@ -226,7 +226,10 @@ def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
     the element's index), and bottom and top are values too.
     ``automorphisms``, a (g, m) array of element permutations that preserve
     the operations and fix the bottom, lets the scan skip blocks (see the
-    module notes)."""
+    module notes).  ``programs``, when given, is a memo of the node list's
+    ``_programs`` by lead: the scan reads its programs there and adds them
+    on first use, as ``logic`` does for each catalogue formula, once per
+    process."""
     j = _trailing(nvars, m)
     inner = m ** j
     lead = nvars - j
@@ -234,7 +237,10 @@ def first_fail(nodes, nvars, m, join, meet, imp, bottom, top, start, stop,
     elements = np.arange(m) if values is None else values
     trailing = [elements.reshape((1,) * (1 + t) + (m,) + (1,) * (j - 1 - t))
                 for t in range(j)]
-    shared_prog, prog = _programs(nodes, lead)
+    memo = {} if programs is None else programs
+    if lead not in memo:
+        memo[lead] = _programs(nodes, lead)
+    shared_prog, prog = memo[lead]
     shared = _leaves(nodes, [None] * lead + trailing, bottom, top)
     _run(shared_prog, shared, ops)
     columns = [(i, x) for i, (op, x, _) in enumerate(nodes) if op == OP_VAR and x < lead]

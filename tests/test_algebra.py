@@ -418,14 +418,14 @@ def test_factor_map_that_is_no_homomorphism_is_refused():
 def test_a_factor_builds_no_table_until_one_is_read(monkeypatch):
     """A factor reads its base through the base's operations and order,
     and checks its map onto [0, f] only when the map is read: a fresh base
-    keeps its join, meet and imp unbuilt, the factor holds no table, and
-    the map read afterwards is a bijective B-homomorphism.  So a factor
-    spec, and free:3, resolve without interval or is_b_homomorphism and
-    hold no table."""
+    keeps its join, meet and imp unbuilt, the factor holds only the order
+    it was built from, and the map read afterwards is a bijective
+    B-homomorphism.  So a factor spec, and free:3, resolve without interval
+    or is_b_homomorphism and hold no table but their order."""
     base = from_poset(powerset_poset(4))
     res = factor_by_principal_filter(base, 40)
     assert not {"join", "meet", "imp"} & vars(base).keys()
-    assert not {"leq", "join", "meet", "imp"} & vars(res.algebra).keys()
+    assert {"leq", "join", "meet", "imp"} & vars(res.algebra).keys() == {"leq"}
     iso = res.iso_to_initial_segment
     assert iso is not None and iso.is_bijective() and is_b_homomorphism(iso) == (True, None)
     monkeypatch.setattr("medlat.algebra.interval", _no_tables)
@@ -433,7 +433,30 @@ def test_a_factor_builds_no_table_until_one_is_read(monkeypatch):
     monkeypatch.setattr("medlat.freedist.free_algebra", free_algebra.__wrapped__)  # uncached
     for spec in ("factor:bn:3,5", "free:3"):
         a = cli.resolve_algebra(spec)
-        assert not {"leq", "join", "meet", "imp"} & vars(a).keys(), spec
+        assert {"leq", "join", "meet", "imp"} & vars(a).keys() == {"leq"}, spec
+
+
+def test_a_factor_keeps_the_order_it_was_checked_against(monkeypatch):
+    """_from_order has checked that the quotient order is the order of the
+    up-sets, so every principal factor of bn(1..3) and of free:3 keeps it,
+    read-only, as its leq: reading leq builds no table, and it equals the
+    table built from the factor's masks."""
+    bases = [bn(n) for n in (1, 2, 3)] + [free_algebra(3)[0]]
+    real = algebra._up_set_table
+    built = []
+
+    def counting(name, *args):
+        built.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr("medlat.algebra._up_set_table", counting)
+    for a in bases:
+        for f in range(a.size):
+            b = factor_by_principal_filter(a, f).algebra
+            built.clear()
+            leq = b.leq
+            assert built == [] and not leq.flags.writeable, (a.provenance, f)
+            assert np.array_equal(leq, real("leq", b.poset, b.open_masks)), (a.provenance, f)
 
 
 def test_factor_class_structure():

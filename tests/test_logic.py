@@ -1,14 +1,17 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clause_formula
-from medlat import kernels, logic
-from medlat.algebra import bn, chain_algebra, from_poset
+from conftest import child_env, clause_formula
+from medlat import cli, kernels, logic
+from medlat.algebra import bn, chain_algebra, factor_by_principal_filter, from_poset, interval
 from medlat.errors import InputError, ResourceLimitError
+from medlat.freedist import free_algebra
 from medlat.logic import (
     AXIOM_TEXT,
     And,
@@ -345,6 +348,83 @@ def test_axiom_catalogue():
         assert axiom(name) == parse(text)
     with pytest.raises(InputError):
         axiom("nope")
+
+
+def _catalogue_cases():
+    yield from (bn(n) for n in range(1, 5))
+    yield from (chain_algebra(m) for m in range(2, 7))
+    yield from (free_algebra(n)[0] for n in range(1, 4))
+    for n in range(1, 5):
+        yield from (from_poset(p) for p in enumerate_posets(n))
+    yield interval(bn(3), 10, 0)
+    yield factor_by_principal_filter(bn(4), 40).algebra
+
+
+def _fields(rep):
+    return rep.valid, rep.countermodel, rep.value_reached, rep.valuations_checked, rep.mode
+
+
+def _answer(f, a, **kw):
+    """The fields of is_valid's report, or the text of its refusal."""
+    try:
+        return _fields(is_valid(f, a, **kw))
+    except ResourceLimitError as e:
+        return str(e)
+
+
+def test_catalogue_formulas_answer_as_freshly_parsed_ones():
+    """is_valid on a catalogue formula, compiled once per process, gives
+    the report of the same text parsed anew, field by field: on bn(1..4),
+    the chains with 2 to 6 elements, free:1..3, the algebra of every poset
+    with at most 4 elements, an interval and a factor.  So do a sampling
+    run and a budget refusal, whose message is the same text."""
+    for a in _catalogue_cases():
+        for name, text in AXIOM_TEXT.items():
+            assert _answer(axiom(name), a) == _answer(parse(text), a), (a.provenance, name)
+    a = bn(3)
+    for name, text in AXIOM_TEXT.items():
+        for kw in ({"budget": 50, "sample_seed": 3}, {"budget": 10}):
+            cached, fresh = _answer(axiom(name), a, **kw), _answer(parse(text), a, **kw)
+            assert cached == fresh, (name, kw)
+        assert isinstance(_answer(axiom(name), a, budget=10), str)
+    assert _answer(axiom("lin"), a, budget=50, sample_seed=3)[4] == "sampling"
+
+
+def test_importing_the_cli_compiles_no_axiom():
+    """A fresh process that imports the CLI has parsed and compiled no
+    catalogue formula: that happens on first use."""
+    code = ("import medlat.cli, medlat.logic as lg; "
+            "print(len(lg._COMPILED), lg._catalogue.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(), check=True, timeout=60).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_a_second_report_parses_and_compiles_nothing(capsys, monkeypatch):
+    """After one report, a report on another algebra parses no axiom,
+    compiles none and builds no scan program: the catalogue's code is kept
+    for the process.  An unknown axiom name is refused and not kept."""
+    assert cli.main(["report", "--algebra", "bn:3"]) == 0
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for target in ("medlat.logic.parse", "medlat.logic.compile_formula",
+                   "medlat.kernels._programs"):
+        module, name = target.rsplit(".", 1)
+        monkeypatch.setattr(target, counted(getattr(sys.modules[module], name)))
+    for spec in ("interval:bn:3,10,0", "chain:7"):
+        assert cli.main(["report", "--json", "--algebra", spec]) == 0
+    assert calls == []
+    kept = len(logic._COMPILED), logic._catalogue.cache_info().currsize
+    with pytest.raises(InputError, match="unknown axiom 'nope'"):
+        axiom("nope")
+    assert (len(logic._COMPILED), logic._catalogue.cache_info().currsize) == kept == (6, 6)
+    capsys.readouterr()
 
 
 def test_lm_member_lin():
