@@ -493,6 +493,7 @@ def axiom(name: str) -> Formula:
 
 @functools.cache
 def _catalogue(name: str) -> Formula:
+    """The parse of a catalogue formula, its code kept in ``_COMPILED``."""
     f = parse(AXIOM_TEXT[name])
     _COMPILED[id(f)] = _code(f, {})
     return f
